@@ -62,7 +62,6 @@ class GibbsState:
     g_f: np.ndarray
     g_bar: np.ndarray
     gamma_scalar: float
-    sigma_e: np.ndarray
     lambda_gamma: np.ndarray
     lambda_h: np.ndarray
     lambda_l: np.ndarray
@@ -113,7 +112,6 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         g_f=np.eye(i),
         g_bar=np.eye(i),
         gamma_scalar=1.0,
-        sigma_e=np.eye(i),
         lambda_gamma=np.diag(i / s_r),
         lambda_h=np.eye(i) * (i * i / trace_h),
         lambda_l=np.diag(j / s_r),
@@ -134,49 +132,40 @@ def _gamma_hf_parts(state: GibbsState, data: HankelData):
     return mean, gram
 
 
-def _split_gamma_hf(state: GibbsState, draw: np.ndarray):
+def _split_gamma_hf(state: GibbsState, m: np.ndarray):
     r = state.rank
-    return draw[:, :r], toeplitz_project(draw[:, r:])
+    return m[:, :r], toeplitz_project(m[:, r:])
 
 
-def step_gamma_hf(state: GibbsState, data: HankelData, rng: np.random.Generator,
-                  deterministic: bool = False):
-    """Draw (gamma_f, h_f); the h_f part is projected back onto
-    lower-triangular Toeplitz matrices. deterministic=True returns the
-    conditional mean (noise matrix set to zero)."""
+def step_gamma_hf(state: GibbsState, data: HankelData, rng: np.random.Generator):
+    """Conditional mean and draw of (gamma_f, h_f), each returned as a
+    (gamma_f, h_f) pair with the h_f part projected back onto
+    lower-triangular Toeplitz matrices."""
     mean, gram = _gamma_hf_parts(state, data)
-    if deterministic:
-        return _split_gamma_hf(state, mean)
     xi = rng.standard_normal(mean.shape)
     draw = mean + state.g_bar @ xi @ psd_sqrt(gram, inverse=True)
-    return _split_gamma_hf(state, draw)
+    return _split_gamma_hf(state, mean), _split_gamma_hf(state, draw)
 
 
-def _lp_parts(state: GibbsState, data: HankelData):
-    """Posterior pieces for the L_p draw: GLS mean in sample coordinates and
-    the inverse root of the posterior precision. Both are composed with the
-    past-regressor pseudo-inverse to land in regressor coordinates."""
+def step_lp(state: GibbsState, data: HankelData, rng: np.random.Generator):
+    """Conditional mean and draw of l_p given the current gamma_f, h_f and
+    the previous noise factor.
+
+    The GLS mean solves (Gamma' S^-1 Gamma + lambda_l) q = Gamma' S^-1 (Y_f -
+    H_f U_f) with S = G_f G_f'; the right side is formed from the f x r
+    factor S^-1 Gamma. Mean and draw are composed with the past-regressor
+    pseudo-inverse to land in regressor coordinates.
+    """
     g = state.g_f
-    target = data.y_f - state.h_f @ data.u_f
     tmp = scipy.linalg.solve_triangular(g, state.gamma_f, lower=True)
     sinv_gamma = scipy.linalg.solve_triangular(g, tmp, lower=True, trans="T")
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
     prec = (prec + prec.T) / 2.0
-    tmp = scipy.linalg.solve_triangular(g, target, lower=True)
-    sinv_target = scipy.linalg.solve_triangular(g, tmp, lower=True, trans="T")
-    mean_q = np.linalg.solve(prec, state.gamma_f.T @ sinv_target)
-    return mean_q, prec
-
-
-def step_lp(state: GibbsState, data: HankelData, rng: np.random.Generator,
-            deterministic: bool = False) -> np.ndarray:
-    """Draw l_p given the current gamma_f, h_f and the previous noise
-    factor."""
-    mean_q, prec = _lp_parts(state, data)
-    if deterministic:
-        return mean_q @ state.z_pinv
+    rhs = sinv_gamma.T @ data.y_f - (sinv_gamma.T @ state.h_f) @ data.u_f
+    mean_q = np.linalg.solve(prec, rhs)
     xi = rng.standard_normal(mean_q.shape)
-    return (mean_q + psd_sqrt(prec, inverse=True) @ xi) @ state.z_pinv
+    draw_q = mean_q + psd_sqrt(prec, inverse=True) @ xi
+    return mean_q @ state.z_pinv, draw_q @ state.z_pinv
 
 
 def _antidiag_sums(m: np.ndarray) -> np.ndarray:
@@ -260,7 +249,7 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
 
     The last coordinate of nu is chi-distributed: chi_(j+1) under the
     Hankel-aware variant, chi_(ij-i+2) when entries are treated as
-    independent. Updates g_bar, gamma_scalar and sigma_e in place.
+    independent. Updates g_f, g_bar and gamma_scalar in place.
     """
     i, j = resid.shape
     if variant == "hankel_exact":
@@ -278,7 +267,6 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
     state.g_f = g_f
     state.g_bar = g_f / g_f[0, 0]
     state.gamma_scalar = 1.0 / (g_f[0, 0] ** 2)
-    state.sigma_e = g_f @ g_f.T
     return g_f
 
 
@@ -302,23 +290,16 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         accum += state.gamma_f @ state.l_p
     diagnostics = [float(np.linalg.norm(state.gamma_f @ state.l_p))]
     for n in range(2, config.n_total + 1):
-        mean_gh, gram = _gamma_hf_parts(state, data)
-        xi = rng.standard_normal(mean_gh.shape)
-        draw_gh = mean_gh + state.g_bar @ xi @ psd_sqrt(gram, inverse=True)
+        (gamma_mean, _), (gamma_draw, h_draw) = step_gamma_hf(state, data, rng)
         # each draw is checked before the next conditional consumes it, so a
         # blown-up iterate is reported here instead of deep inside a solver
-        if not np.isfinite(draw_gh).all():
+        if not (np.isfinite(gamma_draw).all() and np.isfinite(h_draw).all()):
             raise NumericalError(f"chain diverged at iteration {n}")
-        gamma_mean, _ = _split_gamma_hf(state, mean_gh)
-        gamma_draw, h_draw = _split_gamma_hf(state, draw_gh)
         l_prev = state.l_p
         state.gamma_f = gamma_draw
         state.h_f = h_draw
 
-        mean_q, prec = _lp_parts(state, data)
-        l_mean = mean_q @ state.z_pinv
-        xi_l = rng.standard_normal(mean_q.shape)
-        l_draw = (mean_q + psd_sqrt(prec, inverse=True) @ xi_l) @ state.z_pinv
+        l_mean, l_draw = step_lp(state, data, rng)
         if not np.isfinite(l_draw).all():
             raise NumericalError(f"chain diverged at iteration {n}")
         state.l_p = l_draw

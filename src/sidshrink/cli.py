@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,6 @@ _DEFAULTS = {
     "threads": 1,
     "method": "optimal",
     "methods": list(METHOD_NAMES),
-    "debug_checks": False,
 }
 
 
@@ -134,18 +132,22 @@ def parse_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _gibbs_config(resolved: dict, rank: int = 1) -> GibbsConfig:
+    """Chain settings from the resolved config; the benchmark replaces the
+    placeholder rank with each realization's r*."""
+    return GibbsConfig(rank=rank, n_total=resolved["nf"], n_burn=resolved["no"],
+                       gf_variant=resolved["gf_variant"],
+                       rao_blackwell=resolved["rao_blackwell"],
+                       seed=resolved["seed"])
+
+
 def _bench_config(resolved: dict, runs: int | None = None) -> BenchConfig:
-    gibbs = GibbsConfig(rank=1, n_total=resolved["nf"], n_burn=resolved["no"],
-                        gf_variant=resolved["gf_variant"],
-                        rao_blackwell=resolved["rao_blackwell"],
-                        seed=resolved["seed"])
     return BenchConfig(runs=runs if runs is not None else resolved["runs"],
                        scheme=resolved["scheme"],
                        methods=tuple(resolved["methods"]),
-                       gibbs=gibbs,
+                       gibbs=_gibbs_config(resolved),
                        seed=resolved["seed"],
-                       parallelism=resolved["threads"],
-                       debug_checks=resolved["debug_checks"])
+                       parallelism=resolved["threads"])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -206,11 +208,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         ctx = make_context(weighted.shape, rank_info.sigma_level)
         order = int(np.count_nonzero(shrink_values(s_weighted, ctx, method) > 0))
     elif method == "bayes":
-        gibbs = GibbsConfig(rank=rank_info.r_star, n_total=resolved["nf"],
-                            n_burn=resolved["no"],
-                            gf_variant=resolved["gf_variant"],
-                            rao_blackwell=resolved["rao_blackwell"],
-                            seed=resolved["seed"])
+        gibbs = _gibbs_config(resolved, rank=rank_info.r_star)
         estimate = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, gibbs).h_fp_bayes
         order = rank_info.r_star
     else:

@@ -84,11 +84,9 @@ class NoiseEstimate:
 class WeightPair:
     """Row/column weights (w1, w2) for one scheme, with cached inverses.
 
-    The projection complement of the future-input row space is held
-    implicitly through zpz_perp = Z_p Pi Z_p' (Pi the orthogonal projector
-    onto the complement), never as an N x N matrix. factor1 caches
-    lambda_max(w2' zpz_perp^-1 w2) for the noise-level computation; it is
-    None when zpz_perp is singular.
+    factor1 caches lambda_max(w2' (Z_p Pi Z_p')^-1 w2), Pi the orthogonal
+    projector onto the complement of the future-input row space, for the
+    noise-level computation; it is None when Z_p Pi Z_p' is singular.
     """
 
     scheme: str
@@ -96,7 +94,6 @@ class WeightPair:
     w2: np.ndarray
     w1_inv: np.ndarray
     w2_pinv: np.ndarray
-    zpz_perp: np.ndarray
     factor1: float | None = field(default=None, compare=False)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
@@ -158,13 +155,12 @@ def ls_estimate(data: HankelData) -> LsEstimate:
     below RCOND * s_max are treated as zero in the solve.
     """
     reg = np.vstack([data.z_p, data.u_f])
-    svals = np.linalg.svd(reg, compute_uv=False)
+    coeff, _, _, svals = np.linalg.lstsq(reg.T, data.y_f.T, rcond=RCOND)
     if svals[-1] <= RCOND * svals[0]:
         cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
         raise NumericalError(
             f"stacked regressor rank deficient (condition number {cond:.3e})"
         )
-    coeff, *_ = np.linalg.lstsq(reg.T, data.y_f.T, rcond=RCOND)
     coeff = coeff.T
     n_past = data.z_p.shape[0]
     h_fp_hat = coeff[:, :n_past]
@@ -275,7 +271,7 @@ def build_weights(scheme: str, data: HankelData,
         w2_pinv = np.linalg.pinv(data.z_p, rcond=RCOND)
     return WeightPair(
         scheme=scheme, w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
-        zpz_perp=zpz, factor1=_max_eig_congruence(zpz, w2),
+        factor1=_max_eig_congruence(zpz, w2),
     )
 
 

@@ -128,7 +128,7 @@ def test_gamma_hf_ridge_to_ls_limit():
     state.lambda_h = np.eye(3) * 1e-12
     state.gamma_scalar = 1.0
     state.g_bar = np.eye(3)
-    gamma_det, h_det = step_gamma_hf(state, data, None, deterministic=True)
+    (gamma_det, h_det), _ = step_gamma_hf(state, data, np.random.default_rng(0))
     reg = np.vstack([state.x_p, data.u_f])
     coeff, *_ = np.linalg.lstsq(reg.T, data.y_f.T, rcond=None)
     coeff = coeff.T
@@ -141,7 +141,7 @@ def test_gamma_hf_strong_prior_shrinks_to_zero():
     data, ls, state = _state(rank=2)
     state.lambda_gamma = np.eye(2) * 1e12
     state.lambda_h = np.eye(3) * 1e12
-    gamma_det, h_det = step_gamma_hf(state, data, None, deterministic=True)
+    (gamma_det, h_det), _ = step_gamma_hf(state, data, np.random.default_rng(0))
     assert np.abs(gamma_det).max() < 1e-6
     assert np.abs(h_det).max() < 1e-6
 
@@ -150,7 +150,7 @@ def test_lp_gls_collapse():
     data, ls, state = _state(rank=2)
     state.lambda_l = np.eye(2) * 1e-12
     state.g_f = np.eye(3)
-    l_det = step_lp(state, data, None, deterministic=True)
+    l_det, _ = step_lp(state, data, np.random.default_rng(0))
     target = data.y_f - state.h_f @ data.u_f
     coeff, *_ = np.linalg.lstsq(state.gamma_f, target, rcond=None)
     assert np.allclose(l_det, coeff @ state.z_pinv, atol=1e-6)
@@ -162,9 +162,27 @@ def test_lp_orthonormal_closed_form():
     state.gamma_f = q
     state.lambda_l = np.eye(2)
     state.g_f = np.eye(3)
-    l_det = step_lp(state, data, None, deterministic=True)
+    l_det, _ = step_lp(state, data, np.random.default_rng(0))
     expect = 0.5 * q.T @ (data.y_f - state.h_f @ data.u_f) @ state.z_pinv
     assert np.allclose(l_det, expect, atol=1e-10)
+
+
+def test_lp_toeplitz_noise_matches_dense_gls():
+    data, ls, state = _state(rank=2)
+    state.g_f = toeplitz_from_col([1.3, -0.6, 0.25])
+    state.gamma_f = state.gamma_f + 0.3
+    s_inv = np.linalg.inv(state.g_f @ state.g_f.T)
+    prec = state.gamma_f.T @ s_inv @ state.gamma_f + state.lambda_l
+    target = data.y_f - state.h_f @ data.u_f
+    expect = np.linalg.solve(prec, state.gamma_f.T @ s_inv @ target) @ state.z_pinv
+    rng = np.random.default_rng(8)
+    n = 4000
+    draws = np.empty((n,) + expect.shape)
+    for t in range(n):
+        l_mean, draws[t] = step_lp(state, data, rng)
+    assert np.allclose(l_mean, expect, rtol=1e-9, atol=1e-12 * np.abs(expect).max())
+    se = draws.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0) - expect) <= 4.0 * se)
 
 
 def test_steps_leave_priors_untouched():
@@ -191,7 +209,7 @@ def test_gamma_draw_mean_and_covariance():
     n = 10000
     draws = np.empty((n, 6))  # vec of the 3 x 2 gamma block
     for t in range(n):
-        gamma_draw, _ = step_gamma_hf(state, data, rng)
+        _, (gamma_draw, _) = step_gamma_hf(state, data, rng)
         draws[t] = vec(gamma_draw)
     emp_mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
@@ -266,7 +284,6 @@ def test_step_gf_updates_state():
     assert state.g_f is g
     assert np.allclose(state.g_bar, g / g[0, 0])
     assert state.gamma_scalar == pytest.approx(1.0 / g[0, 0] ** 2)
-    assert np.allclose(state.sigma_e, g @ g.T)
 
 
 def test_step_gf_rejects_unknown_variant():

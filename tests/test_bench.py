@@ -133,10 +133,13 @@ def test_run_benchmark_is_deterministic():
         assert a == b
 
 
-def test_debug_checks_pass_on_identity():
-    cfg = _cfg(runs=2, seed=4, debug_checks=True)
-    report = run_benchmark(cfg)
-    assert len(report.per_run) == 2
+def test_identity_risk_is_plain_frobenius_error():
+    cfg = _cfg(runs=2, seed=4)
+    for rid in range(cfg.runs):
+        record, payload = single_run(cfg, rid, keep_payload=True)
+        for method, est in payload.estimates.items():
+            plain = float(np.linalg.norm(payload.h_fp_true - est, "fro") ** 2)
+            assert record.risks[method] == pytest.approx(plain, rel=1e-12, abs=1e-300)
 
 
 def test_bayes_method_runs_end_to_end():
