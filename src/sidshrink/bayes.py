@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericalError
-from .estimation import HankelData
+from .estimation import RCOND, HankelData
 from .linalg import SelectorPair, build_selectors, psd_sqrt, toeplitz_from_col, toeplitz_project
 
 __all__ = [
@@ -42,7 +42,6 @@ class GibbsConfig:
     n_burn: int = 1             # iterates 1..n_burn are discarded
     gf_variant: str = "independent"
     rao_blackwell: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.gf_variant not in GF_VARIANTS:
@@ -55,20 +54,18 @@ class GibbsConfig:
 
 @dataclass
 class GibbsState:
+    """The sampled blocks (gamma_f, h_f), l_p and g_f; the rest stays fixed
+    for the whole chain."""
+
     gamma_f: np.ndarray
     h_f: np.ndarray
     l_p: np.ndarray
-    x_p: np.ndarray
     g_f: np.ndarray
-    g_bar: np.ndarray
-    gamma_scalar: float
     lambda_gamma: np.ndarray
     lambda_h: np.ndarray
     lambda_l: np.ndarray
     selectors: SelectorPair
     z_pinv: np.ndarray
-    rank: int
-    rank_deficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,12 +92,9 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         raise ValueError(f"rank {rank} outside [1, {min(i, data.z_p.shape[0])}]")
     m = h_fp_hat @ data.z_p
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    s_r = s[:rank].copy()
-    floor = max(s[0], np.finfo(float).tiny) * 1e-12
-    rank_deficient = bool(np.any(s_r <= floor))
-    s_r = np.maximum(s_r, floor)
+    s_r = np.maximum(s[:rank], max(s[0], np.finfo(float).tiny) * 1e-12)
     root = np.sqrt(s_r)
-    z_pinv = np.linalg.pinv(data.z_p, rcond=1e-10)
+    z_pinv = np.linalg.pinv(data.z_p, rcond=RCOND)
     gamma = u[:, :rank] * root
     l_p = (root[:, None] * vt[:rank]) @ z_pinv
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
@@ -108,32 +102,32 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         gamma_f=gamma,
         h_f=toeplitz_project(h_f_hat),
         l_p=l_p,
-        x_p=l_p @ data.z_p,
         g_f=np.eye(i),
-        g_bar=np.eye(i),
-        gamma_scalar=1.0,
         lambda_gamma=np.diag(i / s_r),
         lambda_h=np.eye(i) * (i * i / trace_h),
         lambda_l=np.diag(j / s_r),
         selectors=build_selectors(i, j),
         z_pinv=z_pinv,
-        rank=rank,
-        rank_deficient=rank_deficient,
     )
 
 
 def _gamma_hf_parts(state: GibbsState, data: HankelData):
-    """Posterior mean and noise shaping for the [Gamma_f H_f] draw."""
-    reg = np.vstack([state.x_p, data.u_f])
+    """Posterior mean and noise shaping for the [Gamma_f H_f] draw.
+
+    The noise factor enters as G_f = g_f[0,0] g_bar: the scalar
+    gamma = 1 / g_f[0,0]^2 weights the likelihood and g_bar shapes the rows.
+    """
+    gamma_scalar = 1.0 / (state.g_f[0, 0] ** 2)
+    reg = np.vstack([state.l_p @ data.z_p, data.u_f])
     lam = scipy.linalg.block_diag(state.lambda_gamma, state.lambda_h)
-    gram = lam + state.gamma_scalar * (reg @ reg.T)
+    gram = lam + gamma_scalar * (reg @ reg.T)
     gram = (gram + gram.T) / 2.0
-    mean = state.gamma_scalar * np.linalg.solve(gram, (data.y_f @ reg.T).T).T
+    mean = gamma_scalar * np.linalg.solve(gram, (data.y_f @ reg.T).T).T
     return mean, gram
 
 
 def _split_gamma_hf(state: GibbsState, m: np.ndarray):
-    r = state.rank
+    r = state.l_p.shape[0]
     return m[:, :r], toeplitz_project(m[:, r:])
 
 
@@ -143,7 +137,8 @@ def step_gamma_hf(state: GibbsState, data: HankelData, rng: np.random.Generator)
     lower-triangular Toeplitz matrices."""
     mean, gram = _gamma_hf_parts(state, data)
     xi = rng.standard_normal(mean.shape)
-    draw = mean + state.g_bar @ xi @ psd_sqrt(gram, inverse=True)
+    g_bar = state.g_f / state.g_f[0, 0]
+    draw = mean + g_bar @ xi @ psd_sqrt(gram, inverse=True)
     return _split_gamma_hf(state, mean), _split_gamma_hf(state, draw)
 
 
@@ -244,12 +239,12 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
-            variant: str = "independent") -> np.ndarray:
+            variant: str) -> np.ndarray:
     """Draw the noise factor G_f given the current residues.
 
     The last coordinate of nu is chi-distributed: chi_(j+1) under the
     Hankel-aware variant, chi_(ij-i+2) when entries are treated as
-    independent. Updates g_f, g_bar and gamma_scalar in place.
+    independent. Writes the draw to state.g_f.
     """
     i, j = resid.shape
     if variant == "hankel_exact":
@@ -265,13 +260,11 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
     nu[i - 1] = np.sqrt(rng.chisquare(chi_dof))
     g_f, _ = _gf_from_nu(omega, nu)
     state.g_f = g_f
-    state.g_bar = g_f / g_f[0, 0]
-    state.gamma_scalar = 1.0 / (g_f[0, 0] ** 2)
     return g_f
 
 
 def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
-              config: GibbsConfig, rng: np.random.Generator | None = None) -> GibbsEstimate:
+              config: GibbsConfig, rng: np.random.Generator) -> GibbsEstimate:
     """Run the chain and average Gamma_f L_p over iterations
     n_burn+1 .. n_total.
 
@@ -281,8 +274,6 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     NumericalError with the iteration index.
     """
     state = init_gibbs(h_fp_hat, h_f_hat, data, config.rank)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n_past = data.z_p.shape[0]
     accum = np.zeros((data.f * data.n_o, n_past))
     if config.n_burn == 0:
@@ -303,9 +294,8 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         if not np.isfinite(l_draw).all():
             raise NumericalError(f"chain diverged at iteration {n}")
         state.l_p = l_draw
-        state.x_p = l_draw @ data.z_p
 
-        resid = data.y_f - gamma_draw @ state.x_p - h_draw @ data.u_f
+        resid = data.y_f - gamma_draw @ (l_draw @ data.z_p) - h_draw @ data.u_f
         step_gf(state, resid, rng, config.gf_variant)
 
         if not np.isfinite(state.g_f).all():

@@ -169,8 +169,10 @@ def _method_estimate(method, data, ls, weights, rank_info, s_weighted, config, g
 def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
     """One Monte Carlo realization: sample, simulate, identify, score.
 
-    Retries with a fresh stream on numerical failure; the attempt index is
-    folded into the seed so retries are reproducible. Returns RunRecord, or
+    Retries with a fresh stream on numerical or data failure; the attempt
+    index is folded into the seed so retries are reproducible. A horizon
+    that does not exceed the state dimension is a protocol fault, not a bad
+    draw, and raises ConfigError without a retry. Returns RunRecord, or
     (RunRecord, RunPayload) when keep_payload is set.
     """
     spec = SystemSpec()
@@ -181,7 +183,9 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
         try:
             model, snr, n_samples, i_horizon = sample_system(spec, rng)
             f = p = i_horizon
-            assert f > model.n_x, "future horizon must exceed the state dimension"
+            if f <= model.n_x:
+                raise ConfigError(f"future horizon {f} must exceed the state "
+                                  f"dimension {model.n_x}")
             burn = default_burn_in(model)
             total = burn + n_samples + f + p
             u_full = rng.normal(0.0, math.sqrt(snr), size=(total, model.n_i))

@@ -137,8 +137,7 @@ def _gibbs_config(resolved: dict, rank: int = 1) -> GibbsConfig:
     placeholder rank with each realization's r*."""
     return GibbsConfig(rank=rank, n_total=resolved["nf"], n_burn=resolved["no"],
                        gf_variant=resolved["gf_variant"],
-                       rao_blackwell=resolved["rao_blackwell"],
-                       seed=resolved["seed"])
+                       rao_blackwell=resolved["rao_blackwell"])
 
 
 def _bench_config(resolved: dict, runs: int | None = None) -> BenchConfig:
@@ -209,7 +208,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
         order = int(np.count_nonzero(shrink_values(s_weighted, ctx, method) > 0))
     elif method == "bayes":
         gibbs = _gibbs_config(resolved, rank=rank_info.r_star)
-        estimate = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, gibbs).h_fp_bayes
+        rng = np.random.default_rng(resolved["seed"])
+        estimate = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, gibbs, rng).h_fp_bayes
         order = rank_info.r_star
     else:
         raise ConfigError(f"unknown method {method!r}")

@@ -15,7 +15,7 @@ time step, header row with columns u_1..u_{n_i}, y_1..y_{n_o}. See dataio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -106,8 +106,6 @@ class WeightPair:
 @dataclass(frozen=True)
 class RankStar:
     r_star: int
-    g_hat_sq: np.ndarray
-    g_f_hat: np.ndarray
     sigma_level: float
     count_above: int
     converged: bool
@@ -315,26 +313,16 @@ def rank_star(data: HankelData, ls: LsEstimate, weights: WeightPair) -> RankStar
     m = weights.apply(ls.h_fp_hat)
     s_all = np.linalg.svd(m, compute_uv=False)
     dim_i, dim_j = min(m.shape), max(m.shape)
-    r_max = dim_i
-    last = None
-    for r in range(1, r_max + 1):
+    for r in range(1, dim_i + 1):
         h_trunc = truncate_estimate(ls.h_fp_hat, weights, r)
         noise = estimate_noise(data, h_trunc, ls.h_f_hat, rank_used=r)
         sigma_r = noise_level(weights, noise.g_hat_sq)
         lam_soft = soft_threshold_level(dim_i, dim_j, sigma_r)
         count = int(np.sum(s_all > lam_soft))
-        last = RankStar(
-            r_star=r, g_hat_sq=noise.g_hat_sq, g_f_hat=noise.g_f_hat,
-            sigma_level=sigma_r, count_above=count, converged=True,
-        )
+        last = RankStar(r_star=r, sigma_level=sigma_r, count_above=count, converged=True)
         if count < r:
             return last
-    assert last is not None
-    return RankStar(
-        r_star=r_max, g_hat_sq=last.g_hat_sq, g_f_hat=last.g_f_hat,
-        sigma_level=last.sigma_level, count_above=last.count_above,
-        converged=False,
-    )
+    return replace(last, converged=False)
 
 
 def order_heuristic_neff(s) -> int:

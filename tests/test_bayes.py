@@ -103,7 +103,6 @@ def test_init_prior_scales():
     trace_h = float(np.trace(ls.h_f_hat.T @ ls.h_f_hat))
     assert np.allclose(state.lambda_h, np.eye(i) * i * i / trace_h, rtol=1e-10)
     assert np.array_equal(state.g_f, np.eye(i))
-    assert np.allclose(state.x_p, state.l_p @ data.z_p)
 
 
 def test_init_scale_homogeneity():
@@ -113,11 +112,13 @@ def test_init_scale_homogeneity():
                        np.diag(state.lambda_gamma) / 3.7, rtol=1e-10)
 
 
-def test_init_flags_rank_deficiency():
+def test_init_floors_rank_deficient_prior():
+    # ranks beyond the data's are floored, so the prior precisions stay finite
     data, ls, _ = _state()
     rank_one = np.outer(np.arange(1.0, 4.0), np.ones(6))
     state = init_gibbs(rank_one, ls.h_f_hat, data, 3)
-    assert state.rank_deficient
+    for lam in (np.diag(state.lambda_gamma), np.diag(state.lambda_l)):
+        assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
 
 
 # ------------------------------------------------------------- step means
@@ -126,10 +127,9 @@ def test_gamma_hf_ridge_to_ls_limit():
     data, ls, state = _state(rank=2)
     state.lambda_gamma = np.eye(2) * 1e-12
     state.lambda_h = np.eye(3) * 1e-12
-    state.gamma_scalar = 1.0
-    state.g_bar = np.eye(3)
+    state.g_f = np.eye(3)
     (gamma_det, h_det), _ = step_gamma_hf(state, data, np.random.default_rng(0))
-    reg = np.vstack([state.x_p, data.u_f])
+    reg = np.vstack([state.l_p @ data.z_p, data.u_f])
     coeff, *_ = np.linalg.lstsq(reg.T, data.y_f.T, rcond=None)
     coeff = coeff.T
     from sidshrink.linalg import toeplitz_project
@@ -204,7 +204,18 @@ def test_steps_leave_priors_untouched():
 
 def test_gamma_draw_mean_and_covariance():
     data, ls, state = _state(rank=2)
-    mean_ref, gram = _gamma_hf_parts(state, data)
+    # a non-identity noise factor: rows are shaped by g_bar = G_f / G_f[0,0]
+    # and the likelihood is weighted by gamma = 1 / G_f[0,0]^2
+    state.g_f = toeplitz_from_col([1.3, -0.6, 0.25])
+    g_bar = state.g_f / 1.3
+    gamma = 1.0 / 1.3**2
+    reg = np.vstack([state.l_p @ data.z_p, data.u_f])
+    gram = np.zeros((5, 5))
+    gram[:2, :2] = state.lambda_gamma
+    gram[2:, 2:] = state.lambda_h
+    gram += gamma * reg @ reg.T
+    mean_ref = gamma * data.y_f @ reg.T @ np.linalg.inv(gram)
+    assert np.allclose(_gamma_hf_parts(state, data)[0], mean_ref, rtol=1e-9)
     rng = np.random.default_rng(123)
     n = 10000
     draws = np.empty((n, 6))  # vec of the 3 x 2 gamma block
@@ -215,7 +226,7 @@ def test_gamma_draw_mean_and_covariance():
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(emp_mean - vec(mean_ref[:, :2])) <= 4.0 * se)
     # column-major vec: Cov = (gram^-1 gamma block) (x) row covariance, rows iid here
-    cov_ref = np.kron(np.linalg.inv(gram)[:2, :2], state.g_bar @ state.g_bar.T)
+    cov_ref = np.kron(np.linalg.inv(gram)[:2, :2], g_bar @ g_bar.T)
     emp_cov = np.cov(draws.T, ddof=1)
     se_cov = np.sqrt((np.outer(np.diag(cov_ref), np.diag(cov_ref)) + cov_ref**2) / n)
     assert np.all(np.abs(emp_cov - cov_ref) <= 4.5 * se_cov)
@@ -282,8 +293,6 @@ def test_step_gf_updates_state():
     resid = np.random.default_rng(5).standard_normal((3, data.n_cols))
     g = step_gf(state, resid, np.random.default_rng(6), "independent")
     assert state.g_f is g
-    assert np.allclose(state.g_bar, g / g[0, 0])
-    assert state.gamma_scalar == pytest.approx(1.0 / g[0, 0] ** 2)
 
 
 def test_step_gf_rejects_unknown_variant():
@@ -297,16 +306,16 @@ def test_step_gf_rejects_unknown_variant():
 def test_run_gibbs_single_iterate_is_init_product():
     data, ls, state = _state(rank=2)
     est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
-                    GibbsConfig(rank=2, n_total=1, n_burn=0, seed=0))
+                    GibbsConfig(rank=2, n_total=1, n_burn=0), np.random.default_rng(0))
     assert np.allclose(est.h_fp_bayes, state.gamma_f @ state.l_p, atol=1e-12)
     assert est.chain_diagnostics.shape == (1,)
 
 
 def test_run_gibbs_is_deterministic():
     data, ls, _ = _state(rank=1)
-    cfg = GibbsConfig(rank=1, n_total=40, n_burn=5, seed=11)
-    a = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg)
-    b = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg)
+    cfg = GibbsConfig(rank=1, n_total=40, n_burn=5)
+    a = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(11))
+    b = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(11))
     assert np.array_equal(a.h_fp_bayes, b.h_fp_bayes)
     assert np.array_equal(a.chain_diagnostics, b.chain_diagnostics)
 
@@ -319,8 +328,8 @@ def test_run_gibbs_recovers_noiseless_map():
     rng = np.random.default_rng(5)
     _, _, data = sim_dataset(model, 297, 2, 2, rng)
     ls = ls_estimate(data)
-    cfg = GibbsConfig(rank=2, n_total=250, n_burn=1, seed=9)
-    est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg)
+    cfg = GibbsConfig(rank=2, n_total=250, n_burn=1)
+    est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(9))
     rel = np.linalg.norm(est.h_fp_bayes - td.h_fp) / np.linalg.norm(td.h_fp)
     assert rel < 0.05
 
@@ -332,7 +341,7 @@ def test_run_gibbs_flags_divergence():
                      n_cols=data.n_cols, n_i=1, n_o=1)
     with pytest.raises(NumericalError, match="iteration"):
         run_gibbs(bad, ls.h_fp_hat, ls.h_f_hat,
-                  GibbsConfig(rank=1, n_total=5, n_burn=0, seed=0))
+                  GibbsConfig(rank=1, n_total=5, n_burn=0), np.random.default_rng(0))
 
 
 def test_chain_is_stationary_after_burn_in():
@@ -342,7 +351,7 @@ def test_chain_is_stationary_after_burn_in():
     _, _, data = sim_dataset(model, 343, 4, 4, rng, burn_in=50)
     ls = ls_estimate(data)
     est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
-                    GibbsConfig(rank=1, n_total=250, n_burn=50, seed=3))
+                    GibbsConfig(rank=1, n_total=250, n_burn=50), np.random.default_rng(3))
     half = est.chain_diagnostics[125:]
     assert abs(mann_kendall_z(half)) < 2.576  # 1% two-sided
 
@@ -352,10 +361,12 @@ def test_rao_blackwell_reduces_chain_variance():
     seeds = range(6)
     rb, raw = [], []
     for s in seeds:
-        cfg_rb = GibbsConfig(rank=1, n_total=60, n_burn=10, seed=s, rao_blackwell=True)
-        cfg_raw = GibbsConfig(rank=1, n_total=60, n_burn=10, seed=s, rao_blackwell=False)
-        rb.append(run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg_rb).h_fp_bayes)
-        raw.append(run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg_raw).h_fp_bayes)
+        cfg_rb = GibbsConfig(rank=1, n_total=60, n_burn=10, rao_blackwell=True)
+        cfg_raw = GibbsConfig(rank=1, n_total=60, n_burn=10, rao_blackwell=False)
+        rb.append(run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg_rb,
+                            np.random.default_rng(s)).h_fp_bayes)
+        raw.append(run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg_raw,
+                             np.random.default_rng(s)).h_fp_bayes)
     var_rb = np.var(np.stack(rb), axis=0).mean()
     var_raw = np.var(np.stack(raw), axis=0).mean()
     assert var_rb <= var_raw

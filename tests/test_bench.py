@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sidshrink import bench
 from sidshrink.bayes import GibbsConfig
 from sidshrink.bench import (
     METHOD_NAMES,
@@ -15,6 +16,7 @@ from sidshrink.bench import (
 )
 from sidshrink.errors import ConfigError
 from sidshrink.estimation import HankelData, build_weights
+from sidshrink.systems import sample_system
 
 FAST_METHODS = ("heuristic_neff", "heuristic_midpoint", "hard", "soft",
                 "optimal", "sure")
@@ -149,6 +151,20 @@ def test_bayes_method_runs_end_to_end():
     record = single_run(cfg, run_id=0)
     assert record.risks["bayes"] > 0
     assert np.isfinite(record.risks["bayes"])
+
+
+def test_short_horizon_is_config_error_without_redraw(monkeypatch):
+    calls = []
+
+    def horizon_at_n_x(spec, rng):
+        model, snr, n_samples, _ = sample_system(spec, rng)
+        calls.append(model.n_x)
+        return model, snr, n_samples, model.n_x
+
+    monkeypatch.setattr(bench, "sample_system", horizon_at_n_x)
+    with pytest.raises(ConfigError, match="horizon"):
+        single_run(_cfg(runs=1), run_id=0)
+    assert len(calls) == 1
 
 
 def test_method_names_cover_the_reference():

@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from sidshrink.bayes import GibbsConfig, run_gibbs
 from sidshrink.cli import build_parser, main, parse_config
 from sidshrink.dataio import read_matrices, read_timeseries, write_timeseries
-from sidshrink.estimation import assemble, ls_estimate
+from sidshrink.estimation import (
+    assemble,
+    build_weights,
+    estimate_noise,
+    ls_estimate,
+    rank_star,
+)
 
 
 def _run(argv):
@@ -117,6 +124,26 @@ def test_identify_order_outputs(tmp_path, simulated, capsys):
     assert order == int(order) and order >= 1
     s = mats["singular_values"].ravel()
     assert np.all(np.diff(s) <= 1e-12)
+
+
+def test_identify_bayes_chain_draws_from_seed(tmp_path, simulated, capsys):
+    est = {}
+    for seed in (5, 6):
+        out = tmp_path / f"bayes{seed}.csv"
+        assert _run(["identify", str(simulated), "--method", "bayes", "--nf", "30",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        est[seed] = read_matrices(out)[0]["h_fp_est"]
+    capsys.readouterr()
+    u, y, meta = read_timeseries(simulated)
+    data = assemble(u, y, int(meta["f"]), int(meta["p"]))
+    ls = ls_estimate(data)
+    noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
+    weights = build_weights("identity", data, g_f_hat=noise.g_f_hat)
+    r_star = rank_star(data, ls, weights).r_star
+    expect = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, GibbsConfig(rank=r_star, n_total=30),
+                       np.random.default_rng(5)).h_fp_bayes
+    assert np.array_equal(est[5], expect)
+    assert not np.array_equal(est[6], est[5])
 
 
 def test_identify_missing_file(tmp_path, capsys):
