@@ -122,6 +122,13 @@ def _deduped(s: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_sizes(s: np.ndarray, i: int, j: int) -> None:
+    if s.size != i:
+        raise ValueError("length of s must equal i")
+    if i > j:
+        raise ValueError("need i <= j")
+
+
 def sure_risk(s, lam: float, sigma: float, i: int, j: int) -> float:
     """Unbiased risk estimate of soft thresholding at level lam.
 
@@ -130,10 +137,7 @@ def sure_risk(s, lam: float, sigma: float, i: int, j: int) -> float:
     divergence terms.
     """
     s = _deduped(np.asarray(s, dtype=float))
-    if s.size != i:
-        raise ValueError("length of s must equal i")
-    if i > j:
-        raise ValueError("need i <= j")
+    _check_sizes(s, i, j)
     value = -i * j * sigma * sigma + float(np.sum(np.minimum(lam * lam, s * s)))
     active = s > lam
     if not np.any(active):
@@ -154,45 +158,62 @@ def sure_risk(s, lam: float, sigma: float, i: int, j: int) -> float:
     return value + 2.0 * sigma * sigma * div
 
 
+def _active_sums(s: np.ndarray):
+    """Sums over the k largest positive values t of s, for k = 0..len(t).
+
+    Returns (t ascending, sum 1/t, sum t c, sum t^2 c, sum of t^2 over the
+    values left out), each sum indexed by k, where
+    c_a = sum_b 1/(s_a^2 - s_b^2) over the b with s_b^2 != s_a^2 does not
+    depend on the threshold.
+    """
+    s2 = s * s
+    gap = s2[:, None] - s2[None, :]
+    nonzero = gap != 0
+    c = np.where(nonzero, 1.0 / np.where(nonzero, gap, 1.0), 0.0).sum(axis=1)
+    order = np.argsort(-s, kind="stable")[:np.count_nonzero(s > 0)]
+    t, tc = s[order], s[order] * c[order]
+    inv_sum = np.concatenate([[0.0], np.cumsum(1.0 / t)])
+    tc_sum = np.concatenate([[0.0], np.cumsum(tc)])
+    t2c_sum = np.concatenate([[0.0], np.cumsum(t * tc)])
+    tail_sq = np.concatenate([np.cumsum(t[::-1] ** 2)[::-1], [0.0]])
+    return t[::-1], inv_sum, tc_sum, t2c_sum, tail_sq
+
+
 def sure_select(s, sigma: float, i: int, j: int) -> float:
     """Exact minimiser of the unbiased risk over lam in [0, s_1].
 
     The risk is piecewise quadratic with breakpoints at the singular
     values; the minimiser is found from the breakpoints plus the interior
     stationary point of each piece. Ties resolve toward the larger lam.
+    A lam keeps the k values above it active, so the stationary points and
+    the risk at every candidate come from prefix sums over the values in
+    descending order.
     """
     s = _deduped(np.asarray(s, dtype=float))
     s_max = float(s.max(initial=0.0))
     if s_max <= 0.0:
         return 0.0
-    knots = np.unique(np.concatenate([[0.0], s[s > 0], [s_max]]))
-    candidates = list(knots)
-    s2 = s * s
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        mid = 0.5 * (lo + hi)
-        active = s > mid
-        count = int(np.sum(active))
-        if count == 0:
-            continue
-        t = s[active]
-        c_k = np.empty(t.size)
-        for a, tk in enumerate(t):
-            d = tk * tk - s2
-            d = d[np.abs(d) > 0]
-            c_k[a] = float(np.sum(1.0 / d))
-        b = -2.0 * sigma * sigma * ((j - i) * float(np.sum(1.0 / t))
-                                    + 2.0 * float(np.sum(t * c_k)))
-        lam_star = -b / (2.0 * count)
-        if lo < lam_star < hi:
-            candidates.append(lam_star)
-    best_lam = 0.0
-    best_val = math.inf
-    for lam in sorted(candidates):
-        val = sure_risk(s, float(lam), sigma, i, j)
-        if val <= best_val:
-            best_val = val
-            best_lam = float(lam)
-    return best_lam
+    _check_sizes(s, i, j)
+    ascending, inv_sum, tc_sum, t2c_sum, tail_sq = _active_sums(s)
+    knots = np.unique(ascending)
+    lo = np.concatenate([[0.0], knots[:-1]])
+    # on the piece (lo, hi) the active values are those >= hi
+    count = ascending.size - np.searchsorted(ascending, knots, side="left")
+    lam_star = sigma * sigma * ((j - i) * inv_sum[count] + 2.0 * tc_sum[count]) / count
+    inside = (lo < lam_star) & (lam_star < knots)
+    lam = np.sort(np.concatenate([[0.0], knots, lam_star[inside]]))
+
+    # sure_risk dedups the values it is given once more, which moves them
+    # again when several are zero; scoring on those values keeps the choice
+    # equal to minimising sure_risk over the same candidates
+    scored = _deduped(s)
+    if scored is not s:
+        ascending, inv_sum, tc_sum, t2c_sum, tail_sq = _active_sums(scored)
+    k = ascending.size - np.searchsorted(ascending, lam, side="right")
+    div = ((j - i) * (k - lam * inv_sum[k]) + k
+           + 2.0 * (t2c_sum[k] - lam * tc_sum[k]))
+    risk = -i * j * sigma * sigma + k * lam * lam + tail_sq[k] + 2.0 * sigma * sigma * div
+    return float(lam[np.flatnonzero(risk == risk.min())[-1]])
 
 
 def shrink_estimate(h_fp_hat: np.ndarray, weights: "WeightPair",

@@ -101,12 +101,13 @@ def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
     residual = np.inf
     for _ in range(max_iter):
         cpc = c @ p @ c.T + r_v
-        apc = a @ p @ c.T
+        ap = a @ p
+        apc = ap @ c.T
         try:
             gain_t = np.linalg.solve(cpc, apc.T)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"innovation covariance singular: {exc}") from exc
-        p_new = a @ p @ a.T - apc @ gain_t + r_w
+        p_new = ap @ a.T - apc @ gain_t + r_w
         p_new = (p_new + p_new.T) / 2.0
         residual = float(np.linalg.norm(p_new - p))
         p = p_new
@@ -181,7 +182,9 @@ def simulate(model: StateSpaceModel, inputs, rng: np.random.Generator,
     The first burn_in steps are warm-up: the state evolves through them but
     their outputs are dropped, so the returned outputs align with
     inputs[burn_in:]. Noise draws are vectorised up front, which keeps the
-    stream consumption independent of the state trajectory.
+    stream consumption independent of the state trajectory. The input terms
+    B u and D u are formed for all steps at once; the output is formed per
+    step, as C x[k] + D u[k] + v[k], so its sums keep their order.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -193,23 +196,27 @@ def simulate(model: StateSpaceModel, inputs, rng: np.random.Generator,
     v_half = psd_sqrt(model.r_v)
     w = rng.standard_normal((t_total, model.n_x)) @ w_half.T
     v = rng.standard_normal((t_total, model.n_o)) @ v_half.T
+    a, c = model.a, model.c
+    bu = u @ model.b.T
+    du = u @ model.d.T
     x = np.zeros(model.n_x)
-    y = np.empty((t_total, model.n_o))
-    a, b, c, d = model.a, model.b, model.c, model.d
-    for t in range(t_total):
-        y[t] = c @ x + d @ u[t] + v[t]
-        x = a @ x + b @ u[t] + w[t]
-    return y[burn_in:]
+    for t in range(burn_in):
+        x = a @ x + bu[t] + w[t]
+    y = np.empty((t_total - burn_in, model.n_o))
+    for t in range(burn_in, t_total):
+        y[t - burn_in] = c @ x + du[t] + v[t]
+        x = a @ x + bu[t] + w[t]
+    return y
 
 
 def _block_toeplitz(blocks: list[np.ndarray], f: int) -> np.ndarray:
     """Lower block-triangular Toeplitz with blocks[m] on block subdiagonal m."""
     r, c = blocks[0].shape
-    out = np.zeros((f * r, f * c))
-    for row in range(f):
-        for col in range(row + 1):
-            out[row * r:(row + 1) * r, col * c:(col + 1) * c] = blocks[row - col]
-    return out
+    padded = np.concatenate([np.zeros((1, r, c)), np.asarray(blocks)])
+    lag = np.arange(f)[:, None] - np.arange(f)[None, :]
+    # entry 0 of padded is the zero block above the diagonal
+    tiles = padded[np.where(lag >= 0, lag + 1, 0)]
+    return tiles.transpose(0, 2, 1, 3).reshape(f * r, f * c)
 
 
 def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposition:

@@ -114,9 +114,10 @@ def test_run_records_layout(tmp_path):
     path = tmp_path / "runs.csv"
     write_run_records(path, [rec], scheme="identity", config={"runs": 1})
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "run_id,nx,snr,scheme,method,risk,risk_ref"
+    assert lines[0] == "run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged"
     assert len(lines) == 3  # one line per method
-    assert lines[1].startswith("0,2,1.5,identity,heuristic_neff,2.0,2.0")
+    assert lines[1] == "0,2,1.5,identity,heuristic_neff,2.0,2.0,1,1"
+    assert lines[2] == "0,2,1.5,identity,soft,1.0,2.0,1,1"
 
 
 def test_summary_json_roundtrip(tmp_path):

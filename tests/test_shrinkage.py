@@ -1,8 +1,11 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from sidshrink.shrinkage import (
+    _deduped,
     make_context,
     shrink_estimate,
     shrink_values,
@@ -181,6 +184,71 @@ def test_sure_select_keeps_dominant_value():
     assert lam_star < 60.0
     kept = np.maximum(s - lam_star, 0.0)
     assert kept[0] > 50.0
+
+
+def _sure_select_per_piece(s, sigma, i, j):
+    """Reference: a stationary point per piece from explicit sums over its
+    active values, then sure_risk at every candidate in ascending order."""
+    s = _deduped(np.asarray(s, dtype=float))
+    s_max = float(s.max(initial=0.0))
+    if s_max <= 0.0:
+        return 0.0
+    knots = np.unique(np.concatenate([[0.0], s[s > 0], [s_max]]))
+    candidates = list(knots)
+    s2 = s * s
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        mid = 0.5 * (lo + hi)
+        active = s > mid
+        count = int(np.sum(active))
+        if count == 0:
+            continue
+        t = s[active]
+        c_k = np.empty(t.size)
+        for a, tk in enumerate(t):
+            d = tk * tk - s2
+            d = d[np.abs(d) > 0]
+            c_k[a] = float(np.sum(1.0 / d))
+        b = -2.0 * sigma * sigma * ((j - i) * float(np.sum(1.0 / t))
+                                    + 2.0 * float(np.sum(t * c_k)))
+        lam_star = -b / (2.0 * count)
+        if lo < lam_star < hi:
+            candidates.append(lam_star)
+    best_lam = 0.0
+    best_val = math.inf
+    for lam in sorted(candidates):
+        val = sure_risk(s, float(lam), sigma, i, j)
+        if val <= best_val:
+            best_val = val
+            best_lam = float(lam)
+    return best_lam
+
+
+def test_sure_select_matches_per_piece_reference():
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for trial in range(500):
+        i = int(rng.integers(1, 12))
+        j = i if trial % 5 == 0 else i + int(rng.integers(1, 30))
+        sigma = float(rng.uniform(0.2, 2.0))
+        s = np.sort(rng.lognormal(0.5, 1.0, size=i))[::-1]
+        if trial % 3 == 0:
+            s[0] *= rng.uniform(1.0, 20.0)      # dominant value
+        if trial % 4 == 1 and i > 1:
+            s[-int(rng.integers(1, i)):] = 0.0  # trailing zeros
+        if trial % 4 == 2 and i > 1:
+            a = int(rng.integers(0, i - 1))
+            s[a + 1] = s[a]                     # exact duplicate: jitter path
+        with np.errstate(divide="raise", invalid="raise"):
+            lam = sure_select(s, sigma, i, j)
+            lam_ref = _sure_select_per_piece(s, sigma, i, j)
+        # the two sum the terms t_a c_a in different orders; after the jitter
+        # the pairs of c_a near +-1/(jitter s^2) cancel, so allow a few ulps
+        # of the summed magnitudes on top of 1e-12 s_1
+        sj = _deduped(s)
+        gap = sj[:, None] ** 2 - sj[None, :] ** 2
+        mag = np.sum(np.abs(sj[:, None] / np.where(gap != 0, gap, np.inf)))
+        tol = 1e-12 * s[0] + 4 * i * eps * sigma * sigma * mag
+        assert abs(lam - lam_ref) <= tol, (trial, s, lam, lam_ref)
 
 
 # --------------------------------------------------------- shrink_estimate
