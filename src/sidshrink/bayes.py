@@ -55,7 +55,8 @@ class GibbsConfig:
 @dataclass
 class GibbsState:
     """The sampled blocks (gamma_f, h_f), l_p and g_f; the rest stays fixed
-    for the whole chain."""
+    for the whole chain: the data enter as the Gram blocks of stacked =
+    [Y_f; Z_p; U_f] (yz = Y_f Z_p', ...) and as Y_f z_pinv, U_f z_pinv."""
 
     gamma_f: np.ndarray
     h_f: np.ndarray
@@ -66,6 +67,14 @@ class GibbsState:
     lambda_l: np.ndarray
     selectors: SelectorPair
     z_pinv: np.ndarray
+    stacked: np.ndarray
+    yz: np.ndarray
+    yu: np.ndarray
+    zz: np.ndarray
+    zu: np.ndarray
+    uu: np.ndarray
+    y_zpinv: np.ndarray
+    u_zpinv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,9 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     gamma = u[:, :rank] * root
     l_p = (root[:, None] * vt[:rank]) @ z_pinv
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
+    stacked = np.vstack([data.y_f, data.z_p, data.u_f])
+    gram = stacked @ stacked.T
+    q = i + data.z_p.shape[0]     # Z_p rows of the stack are i..q-1
     return GibbsState(
         gamma_f=gamma,
         h_f=toeplitz_project(h_f_hat),
@@ -108,112 +120,104 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         lambda_l=np.diag(j / s_r),
         selectors=build_selectors(i, j),
         z_pinv=z_pinv,
+        stacked=stacked,
+        yz=gram[:i, i:q], yu=gram[:i, q:], zz=gram[i:q, i:q], zu=gram[i:q, q:], uu=gram[q:, q:],
+        y_zpinv=data.y_f @ z_pinv, u_zpinv=data.u_f @ z_pinv,
     )
 
 
-def _gamma_hf_parts(state: GibbsState, data: HankelData):
+def _gamma_hf_parts(state: GibbsState):
     """Posterior mean and noise shaping for the [Gamma_f H_f] draw.
 
     The noise factor enters as G_f = g_f[0,0] g_bar: the scalar
     gamma = 1 / g_f[0,0]^2 weights the likelihood and g_bar shapes the rows.
+    For the regressor reg = [L_p Z_p; U_f], reg reg' and Y_f reg' come from
+    the Gram blocks.
     """
     gamma_scalar = 1.0 / (state.g_f[0, 0] ** 2)
-    reg = np.vstack([state.l_p @ data.z_p, data.u_f])
-    lam = scipy.linalg.block_diag(state.lambda_gamma, state.lambda_h)
-    gram = lam + gamma_scalar * (reg @ reg.T)
+    lzu = gamma_scalar * (state.l_p @ state.zu)
+    gram = np.block([[state.lambda_gamma + gamma_scalar * (state.l_p @ state.zz @ state.l_p.T),
+                      lzu], [lzu.T, state.lambda_h + gamma_scalar * state.uu]])
     gram = (gram + gram.T) / 2.0
-    mean = gamma_scalar * np.linalg.solve(gram, (data.y_f @ reg.T).T).T
+    y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
+    mean = gamma_scalar * np.linalg.solve(gram, y_reg.T).T
     return mean, gram
 
 
-def _split_gamma_hf(state: GibbsState, m: np.ndarray):
-    r = state.l_p.shape[0]
-    return m[:, :r], toeplitz_project(m[:, r:])
-
-
-def step_gamma_hf(state: GibbsState, data: HankelData, rng: np.random.Generator):
+def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
     """Conditional mean and draw of (gamma_f, h_f), each returned as a
     (gamma_f, h_f) pair with the h_f part projected back onto
     lower-triangular Toeplitz matrices."""
-    mean, gram = _gamma_hf_parts(state, data)
+    mean, gram = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
     draw = mean + g_bar @ xi @ psd_sqrt(gram, inverse=True)
-    return _split_gamma_hf(state, mean), _split_gamma_hf(state, draw)
+    r = state.l_p.shape[0]
+    return ((mean[:, :r], toeplitz_project(mean[:, r:])),
+            (draw[:, :r], toeplitz_project(draw[:, r:])))
 
 
-def step_lp(state: GibbsState, data: HankelData, rng: np.random.Generator):
+def step_lp(state: GibbsState, rng: np.random.Generator):
     """Conditional mean and draw of l_p given the current gamma_f, h_f and
     the previous noise factor.
 
     The GLS mean solves (Gamma' S^-1 Gamma + lambda_l) q = Gamma' S^-1 (Y_f -
-    H_f U_f) with S = G_f G_f'; the right side is formed from the f x r
-    factor S^-1 Gamma. Mean and draw are composed with the past-regressor
-    pseudo-inverse to land in regressor coordinates.
+    H_f U_f) with S = G_f G_f'. Mean and draw are returned composed with the
+    past-regressor pseudo-inverse, in regressor coordinates, so the right
+    side is formed from S^-1 Gamma, Y_f z_pinv and U_f z_pinv.
     """
-    g = state.g_f
-    tmp = scipy.linalg.solve_triangular(g, state.gamma_f, lower=True)
-    sinv_gamma = scipy.linalg.solve_triangular(g, tmp, lower=True, trans="T")
+    sinv_gamma = scipy.linalg.cho_solve((state.g_f, True), state.gamma_f)
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
     prec = (prec + prec.T) / 2.0
-    rhs = sinv_gamma.T @ data.y_f - (sinv_gamma.T @ state.h_f) @ data.u_f
-    mean_q = np.linalg.solve(prec, rhs)
-    xi = rng.standard_normal(mean_q.shape)
-    draw_q = mean_q + psd_sqrt(prec, inverse=True) @ xi
-    return mean_q @ state.z_pinv, draw_q @ state.z_pinv
+    rhs = sinv_gamma.T @ state.y_zpinv - (sinv_gamma.T @ state.h_f) @ state.u_zpinv
+    mean = np.linalg.solve(prec, rhs)
+    xi = rng.standard_normal((mean.shape[0], state.z_pinv.shape[0]))
+    return mean, mean + psd_sqrt(prec, inverse=True) @ (xi @ state.z_pinv)
 
 
-def _antidiag_sums(m: np.ndarray) -> np.ndarray:
+def _skew(m: np.ndarray) -> np.ndarray:
+    """Row k of m shifted right by k places: out[k, k + l] = m[k, l], zeros elsewhere."""
     rows, cols = m.shape
-    idx = (np.arange(rows)[:, None] + np.arange(cols)[None, :]).ravel()
-    return np.bincount(idx, weights=m.ravel(), minlength=rows + cols - 1)
+    buf = np.zeros((rows, cols + rows))
+    buf[:, :cols] = m
+    return buf.ravel()[: rows * (cols + rows - 1)].reshape(rows, cols + rows - 1)
 
 
 def _omega_hankel(resid: np.ndarray) -> np.ndarray:
     """Quadratic form of the Hankel-aware likelihood.
 
     Equals b_t' (E (x) I) b_w (b_w' b_w)^-1 b_w' (E' (x) I) b_t without
-    forming the Kronecker products: column m of b_w' (E' (x) I) b_t holds
-    the anti-diagonal sums of E shifted down by i-1-m rows, and b_w' b_w is
-    the diagonal of anti-diagonal multiplicities.
+    forming the Kronecker products: column m of s = b_w' (E' (x) I) b_t
+    holds the anti-diagonal sums of the first m+1 rows of E shifted down by
+    i-1-m rows, and b_w' b_w is the diagonal of anti-diagonal multiplicities.
     """
     i, j = resid.shape
     n_coef = i + j - 1
-    s = np.zeros((n_coef, i))
-    for m in range(i):
-        shift = i - 1 - m
-        sums = _antidiag_sums(resid[: i - shift, :])
-        s[shift: shift + sums.shape[0], m] = sums
-    d = np.arange(n_coef)
-    w = np.minimum.reduce([d + 1, np.full(n_coef, i), np.full(n_coef, j), n_coef - d])
+    # row m: anti-diagonal sums of the first m+1 rows of the residue
+    sums = np.cumsum(_skew(resid), axis=0)
+    s = _skew(sums[::-1])[::-1, :n_coef].T
+    w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
     omega = s.T @ (s / w[:, None])
     return (omega + omega.T) / 2.0
 
 
 def _omega_independent(resid: np.ndarray) -> np.ndarray:
     """Quadratic form b_t' (E E' (x) I) b_t via partial diagonal sums of the
-    residue Gram matrix: entry (m, m') sums the first min(m, m')+1 terms of
-    the |m - m'|-th subdiagonal of E E'."""
+    residue Gram matrix: entry (m, m + d) sums the first m+1 terms of the
+    d-th subdiagonal of E E'."""
     i = resid.shape[0]
-    c = resid @ resid.T
-    omega = np.zeros((i, i))
-    for delta in range(i):
-        partial = np.cumsum(np.diagonal(c, offset=-delta))
-        rows = np.arange(i - delta)
-        omega[rows, rows + delta] = partial
-        omega[rows + delta, rows] = partial
-    return omega
+    low = np.tril(resid @ resid.T)
+    # column d: the d-th subdiagonal from its top, read at stride i + 1
+    subdiag = np.concatenate([low.T.ravel(), np.zeros(i)]).reshape(i, i + 1)[:, :i]
+    upper = _skew(np.cumsum(subdiag, axis=0))[:, :i]
+    return upper + np.triu(upper, 1).T
 
 
 def _invert_toeplitz_symbol(q: np.ndarray) -> np.ndarray:
-    """Power-series inverse of a lower-triangular Toeplitz symbol, so the
-    result is exactly Toeplitz."""
-    n = q.shape[0]
-    p = np.zeros(n)
-    p[0] = 1.0 / q[0]
-    for d in range(1, n):
-        p[d] = -np.dot(q[1: d + 1], p[d - 1:: -1]) / q[0]
-    return p
+    """First column of the inverse of the lower-triangular Toeplitz matrix
+    with first column q (the inverse is lower-triangular Toeplitz too)."""
+    e_0 = np.eye(1, q.shape[0])[0]
+    return scipy.linalg.solve_triangular(toeplitz_from_col(q), e_0, lower=True)
 
 
 def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,10 +236,8 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"(min eigenvalue {min_eig:.3e})"
         ) from exc
     row = scipy.linalg.solve_triangular(om_l, nu, lower=True, trans="T")
-    i = row.shape[0]
-    q = row[::-1].copy()          # q[d] = subdiagonal-d coefficient of G_f^-1
-    g_col = _invert_toeplitz_symbol(q)
-    return toeplitz_from_col(g_col), row
+    # row[::-1][d] is the subdiagonal-d coefficient of G_f^-1
+    return toeplitz_from_col(_invert_toeplitz_symbol(row[::-1])), row
 
 
 def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
@@ -248,19 +250,14 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
     """
     i, j = resid.shape
     if variant == "hankel_exact":
-        omega = _omega_hankel(resid)
-        chi_dof = j + 1
+        omega, chi_dof = _omega_hankel(resid), j + 1
     elif variant == "independent":
-        omega = _omega_independent(resid)
-        chi_dof = i * j - i + 2
+        omega, chi_dof = _omega_independent(resid), i * j - i + 2
     else:
         raise ConfigError(f"unknown gf variant {variant!r}")
-    nu = np.empty(i)
-    nu[: i - 1] = rng.standard_normal(i - 1)
-    nu[i - 1] = np.sqrt(rng.chisquare(chi_dof))
-    g_f, _ = _gf_from_nu(omega, nu)
-    state.g_f = g_f
-    return g_f
+    nu = np.append(rng.standard_normal(i - 1), np.sqrt(rng.chisquare(chi_dof)))
+    state.g_f = _gf_from_nu(omega, nu)[0]
+    return state.g_f
 
 
 def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
@@ -274,28 +271,26 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     NumericalError with the iteration index.
     """
     state = init_gibbs(h_fp_hat, h_f_hat, data, config.rank)
-    n_past = data.z_p.shape[0]
-    accum = np.zeros((data.f * data.n_o, n_past))
+    accum = np.zeros_like(h_fp_hat, dtype=float)
     if config.n_burn == 0:
         # burn-in of zero keeps the deterministic first iterate as well
         accum += state.gamma_f @ state.l_p
     diagnostics = [float(np.linalg.norm(state.gamma_f @ state.l_p))]
     for n in range(2, config.n_total + 1):
-        (gamma_mean, _), (gamma_draw, h_draw) = step_gamma_hf(state, data, rng)
+        (gamma_mean, _), (gamma_draw, h_draw) = step_gamma_hf(state, rng)
         # each draw is checked before the next conditional consumes it, so a
         # blown-up iterate is reported here instead of deep inside a solver
         if not (np.isfinite(gamma_draw).all() and np.isfinite(h_draw).all()):
             raise NumericalError(f"chain diverged at iteration {n}")
-        l_prev = state.l_p
-        state.gamma_f = gamma_draw
-        state.h_f = h_draw
+        l_prev, state.gamma_f, state.h_f = state.l_p, gamma_draw, h_draw
 
-        l_mean, l_draw = step_lp(state, data, rng)
+        l_mean, l_draw = step_lp(state, rng)
         if not np.isfinite(l_draw).all():
             raise NumericalError(f"chain diverged at iteration {n}")
         state.l_p = l_draw
 
-        resid = data.y_f - gamma_draw @ (l_draw @ data.z_p) - h_draw @ data.u_f
+        # Y_f - Gamma L_p Z_p - H_f U_f in one product
+        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ state.stacked
         step_gf(state, resid, rng, config.gf_variant)
 
         if not np.isfinite(state.g_f).all():

@@ -7,6 +7,7 @@ arguments.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,9 @@ def build_selectors(i: int, n: int) -> SelectorPair:
     if i < 1 or n < 1:
         raise ValueError("selector sizes must be positive")
     b_t = np.zeros((i * i, i))
-    k, l = np.meshgrid(np.arange(i), np.arange(i), indexing="ij")
-    low = k >= l
+    k, l, _ = _tril_index(i)
     # entry (k, l) of G holds last_row element i-1-k+l
-    b_t[(k + l * i)[low], (i - 1 - k + l)[low]] = 1.0
+    b_t[k + l * i, i - 1 - k + l] = 1.0
 
     b_w = np.zeros((i * n, i + n - 1))
     k, l = np.meshgrid(np.arange(i), np.arange(n), indexing="ij")
@@ -137,6 +137,16 @@ def pseudo_det(m: np.ndarray, tol: float = 1e-10) -> float:
     return float(np.prod(keep))
 
 
+@functools.lru_cache(maxsize=None)
+def _tril_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and k - l of the lower triangle of an n x n matrix."""
+    rows, cols = np.tril_indices(n)
+    index = (rows, cols, rows - cols)
+    for a in index:
+        a.setflags(write=False)     # shared by every call with this n
+    return index
+
+
 def toeplitz_project(m: np.ndarray) -> np.ndarray:
     """Orthogonal (Frobenius) projection onto lower-triangular Toeplitz
     matrices.
@@ -149,16 +159,17 @@ def toeplitz_project(m: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("toeplitz_project expects a square matrix")
     n = a.shape[0]
-    col = np.array([np.diagonal(a, -d).mean() for d in range(n)])
-    return toeplitz_from_col(col)
+    # pairwise sums as in np.mean: a reordered sum (one bincount over k - l)
+    # flipped the effective-rank order of 5 of 300 cva benchmark runs
+    sums = np.array([np.add.reduce(a.diagonal(-d)) for d in range(n)])
+    return toeplitz_from_col(sums / np.arange(n, 0, -1))
 
 
 def toeplitz_from_col(col: np.ndarray) -> np.ndarray:
     """Lower-triangular Toeplitz matrix with the given first column."""
     c = np.asarray(col, dtype=float)
     n = c.shape[0]
+    rows, cols, sub = _tril_index(n)
     out = np.zeros((n, n))
-    k, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    low = k >= l
-    out[low] = c[(k - l)[low]]
+    out[rows, cols] = c[sub]
     return out

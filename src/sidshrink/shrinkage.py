@@ -112,12 +112,13 @@ def shrink_values(s, ctx: ShrinkageContext, method: str) -> np.ndarray:
 def _deduped(s: np.ndarray) -> np.ndarray:
     """Break near-degenerate squared singular-value gaps with a tiny
     deterministic relative jitter, so the divided differences in the risk
-    formula stay finite."""
+    formula stay finite. Ties among zero squares are left alone (no divided
+    difference pairs them), so a second call returns its input."""
     s2 = s * s
     diff = np.abs(s2[:, None] - s2[None, :])
     thresh = _DEGENERATE_REL * np.maximum(s2[:, None], s2[None, :])
     np.fill_diagonal(diff, np.inf)
-    if np.any(diff < np.maximum(thresh, np.finfo(float).tiny)):
+    if np.any((diff < np.maximum(thresh, np.finfo(float).tiny)) & (thresh > 0)):
         return s * (1.0 + _JITTER_REL * np.arange(s.size))
     return s
 
@@ -202,13 +203,6 @@ def sure_select(s, sigma: float, i: int, j: int) -> float:
     lam_star = sigma * sigma * ((j - i) * inv_sum[count] + 2.0 * tc_sum[count]) / count
     inside = (lo < lam_star) & (lam_star < knots)
     lam = np.sort(np.concatenate([[0.0], knots, lam_star[inside]]))
-
-    # sure_risk dedups the values it is given once more, which moves them
-    # again when several are zero; scoring on those values keeps the choice
-    # equal to minimising sure_risk over the same candidates
-    scored = _deduped(s)
-    if scored is not s:
-        ascending, inv_sum, tc_sum, t2c_sum, tail_sq = _active_sums(scored)
     k = ascending.size - np.searchsorted(ascending, lam, side="right")
     div = ((j - i) * (k - lam * inv_sum[k]) + k
            + 2.0 * (t2c_sum[k] - lam * tc_sum[k]))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _util import mann_kendall_z, quiet_decomposition, shift_model, sim_dataset, siso_model
 from sidshrink.bayes import (
     GibbsConfig,
     _gamma_hf_parts,
     _gf_from_nu,
+    _invert_toeplitz_symbol,
     _omega_hankel,
     _omega_independent,
     init_gibbs,
@@ -128,7 +130,7 @@ def test_gamma_hf_ridge_to_ls_limit():
     state.lambda_gamma = np.eye(2) * 1e-12
     state.lambda_h = np.eye(3) * 1e-12
     state.g_f = np.eye(3)
-    (gamma_det, h_det), _ = step_gamma_hf(state, data, np.random.default_rng(0))
+    (gamma_det, h_det), _ = step_gamma_hf(state, np.random.default_rng(0))
     reg = np.vstack([state.l_p @ data.z_p, data.u_f])
     coeff, *_ = np.linalg.lstsq(reg.T, data.y_f.T, rcond=None)
     coeff = coeff.T
@@ -141,7 +143,7 @@ def test_gamma_hf_strong_prior_shrinks_to_zero():
     data, ls, state = _state(rank=2)
     state.lambda_gamma = np.eye(2) * 1e12
     state.lambda_h = np.eye(3) * 1e12
-    (gamma_det, h_det), _ = step_gamma_hf(state, data, np.random.default_rng(0))
+    (gamma_det, h_det), _ = step_gamma_hf(state, np.random.default_rng(0))
     assert np.abs(gamma_det).max() < 1e-6
     assert np.abs(h_det).max() < 1e-6
 
@@ -150,7 +152,7 @@ def test_lp_gls_collapse():
     data, ls, state = _state(rank=2)
     state.lambda_l = np.eye(2) * 1e-12
     state.g_f = np.eye(3)
-    l_det, _ = step_lp(state, data, np.random.default_rng(0))
+    l_det, _ = step_lp(state, np.random.default_rng(0))
     target = data.y_f - state.h_f @ data.u_f
     coeff, *_ = np.linalg.lstsq(state.gamma_f, target, rcond=None)
     assert np.allclose(l_det, coeff @ state.z_pinv, atol=1e-6)
@@ -162,7 +164,7 @@ def test_lp_orthonormal_closed_form():
     state.gamma_f = q
     state.lambda_l = np.eye(2)
     state.g_f = np.eye(3)
-    l_det, _ = step_lp(state, data, np.random.default_rng(0))
+    l_det, _ = step_lp(state, np.random.default_rng(0))
     expect = 0.5 * q.T @ (data.y_f - state.h_f @ data.u_f) @ state.z_pinv
     assert np.allclose(l_det, expect, atol=1e-10)
 
@@ -179,7 +181,7 @@ def test_lp_toeplitz_noise_matches_dense_gls():
     n = 4000
     draws = np.empty((n,) + expect.shape)
     for t in range(n):
-        l_mean, draws[t] = step_lp(state, data, rng)
+        l_mean, draws[t] = step_lp(state, rng)
     assert np.allclose(l_mean, expect, rtol=1e-9, atol=1e-12 * np.abs(expect).max())
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - expect) <= 4.0 * se)
@@ -191,8 +193,8 @@ def test_steps_leave_priors_untouched():
     lam_h = state.lambda_h.copy()
     lam_l = state.lambda_l.copy()
     rng = np.random.default_rng(0)
-    step_gamma_hf(state, data, rng)
-    step_lp(state, data, rng)
+    step_gamma_hf(state, rng)
+    step_lp(state, rng)
     step_gf(state, np.random.default_rng(1).standard_normal((3, data.n_cols)), rng,
             "independent")
     assert np.array_equal(state.lambda_gamma, lam_g)
@@ -215,12 +217,12 @@ def test_gamma_draw_mean_and_covariance():
     gram[2:, 2:] = state.lambda_h
     gram += gamma * reg @ reg.T
     mean_ref = gamma * data.y_f @ reg.T @ np.linalg.inv(gram)
-    assert np.allclose(_gamma_hf_parts(state, data)[0], mean_ref, rtol=1e-9)
+    assert np.allclose(_gamma_hf_parts(state)[0], mean_ref, rtol=1e-9)
     rng = np.random.default_rng(123)
     n = 10000
     draws = np.empty((n, 6))  # vec of the 3 x 2 gamma block
     for t in range(n):
-        _, (gamma_draw, _) = step_gamma_hf(state, data, rng)
+        _, (gamma_draw, _) = step_gamma_hf(state, rng)
         draws[t] = vec(gamma_draw)
     emp_mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
@@ -245,6 +247,16 @@ def test_omega_matrices_match_dense_kronecker_forms():
         d_inv = np.linalg.inv(sel.b_w.T @ sel.b_w)
         om_han = m.T @ sel.b_w @ d_inv @ sel.b_w.T @ m
         assert np.allclose(_omega_hankel(e), om_han, atol=1e-12)
+
+
+def test_invert_toeplitz_symbol_gives_the_inverse():
+    rng = np.random.default_rng(21)
+    for n in range(1, 25):
+        q = 0.3 * rng.standard_normal(n) * 0.7 ** np.arange(n)
+        q[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        p = _invert_toeplitz_symbol(q)
+        prod = toeplitz_from_col(q) @ toeplitz_from_col(p)
+        assert np.abs(prod - np.eye(n)).max() <= 1e-12
 
 
 def test_gf_change_of_variables():
@@ -370,3 +382,103 @@ def test_rao_blackwell_reduces_chain_variance():
     var_rb = np.var(np.stack(rb), axis=0).mean()
     var_raw = np.var(np.stack(raw), axis=0).mean()
     assert var_rb <= var_raw
+
+
+# ------------------------------------------- chain on sufficient statistics
+
+def _project_per_diagonal(m):
+    return toeplitz_from_col([np.diagonal(m, -d).mean() for d in range(m.shape[0])])
+
+
+def _omega_hankel_per_row(resid):
+    i, j = resid.shape
+    n_coef = i + j - 1
+    s = np.zeros((n_coef, i))
+    for m in range(i):
+        idx = (np.arange(m + 1)[:, None] + np.arange(j)[None, :]).ravel()
+        s[i - 1 - m:, m] = np.bincount(idx, weights=resid[: m + 1].ravel(), minlength=m + j)
+    w = np.array([min(d + 1, i, j, n_coef - d) for d in range(n_coef)], dtype=float)
+    omega = s.T @ (s / w[:, None])
+    return (omega + omega.T) / 2.0
+
+
+def _omega_independent_per_diagonal(resid):
+    i = resid.shape[0]
+    c = resid @ resid.T
+    omega = np.zeros((i, i))
+    for d in range(i):
+        partial = np.cumsum(np.diagonal(c, offset=-d))
+        rows = np.arange(i - d)
+        omega[rows, rows + d] = partial
+        omega[rows + d, rows] = partial
+    return omega
+
+
+def _symbol_inverse_series(q):
+    p = np.zeros(q.shape[0])
+    p[0] = 1.0 / q[0]
+    for d in range(1, q.shape[0]):
+        p[d] = -np.dot(q[1: d + 1], p[d - 1:: -1]) / q[0]
+    return p
+
+
+def _chain_on_data(data, ls, config, rng):
+    """The chain with every conditional formed from Y_f, Z_p and U_f (f x N
+    and r x N products each iteration) and per-diagonal noise-update forms:
+    the oracle for run_gibbs, drawing in the same order."""
+    state = init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, config.rank)
+    gamma, h, l_p, g = state.gamma_f, state.h_f, state.l_p, state.g_f
+    y_f, z_p, u_f = data.y_f, data.z_p, data.u_f
+    r, (i, j) = config.rank, y_f.shape
+    accum = np.zeros((i, z_p.shape[0]))
+    if config.n_burn == 0:
+        accum += gamma @ l_p
+    diagnostics = [np.linalg.norm(gamma @ l_p)]
+    for n in range(2, config.n_total + 1):
+        gs = 1.0 / g[0, 0] ** 2
+        reg = np.vstack([l_p @ z_p, u_f])
+        gram = scipy.linalg.block_diag(state.lambda_gamma, state.lambda_h) + gs * (reg @ reg.T)
+        gram = (gram + gram.T) / 2.0
+        mean = gs * np.linalg.solve(gram, (y_f @ reg.T).T).T
+        xi = rng.standard_normal(mean.shape)
+        draw = mean + (g / g[0, 0]) @ xi @ psd_sqrt(gram, inverse=True)
+        gamma_mean, l_prev = mean[:, :r], l_p
+        gamma, h = draw[:, :r], _project_per_diagonal(draw[:, r:])
+
+        tmp = scipy.linalg.solve_triangular(g, gamma, lower=True)
+        sinv_gamma = scipy.linalg.solve_triangular(g, tmp, lower=True, trans="T")
+        prec = gamma.T @ sinv_gamma + state.lambda_l
+        prec = (prec + prec.T) / 2.0
+        mean_q = np.linalg.solve(prec, sinv_gamma.T @ y_f - (sinv_gamma.T @ h) @ u_f)
+        draw_q = mean_q + psd_sqrt(prec, inverse=True) @ rng.standard_normal(mean_q.shape)
+        l_mean, l_p = mean_q @ state.z_pinv, draw_q @ state.z_pinv
+
+        resid = y_f - gamma @ (l_p @ z_p) - h @ u_f
+        if config.gf_variant == "hankel_exact":
+            omega, dof = _omega_hankel_per_row(resid), j + 1
+        else:
+            omega, dof = _omega_independent_per_diagonal(resid), i * j - i + 2
+        nu = np.concatenate([rng.standard_normal(i - 1), [np.sqrt(rng.chisquare(dof))]])
+        row = scipy.linalg.solve_triangular(np.linalg.cholesky(omega), nu, lower=True, trans="T")
+        g = toeplitz_from_col(_symbol_inverse_series(row[::-1]))
+
+        diagnostics.append(np.linalg.norm(gamma @ l_p))
+        if n > config.n_burn:
+            if config.rao_blackwell:
+                accum += (gamma_mean @ l_prev + gamma @ l_mean) / 2.0
+            else:
+                accum += gamma @ l_p
+    return accum / (config.n_total - config.n_burn), np.asarray(diagnostics)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("rao_blackwell", [True, False])
+@pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
+def test_run_gibbs_matches_the_chain_on_data(variant, rao_blackwell, rank):
+    data, ls, _ = _state(seed=3, rank=rank, f=4, p=4, n_cols=60)
+    cfg = GibbsConfig(rank=rank, n_total=40, n_burn=5, gf_variant=variant,
+                      rao_blackwell=rao_blackwell)
+    est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(12))
+    ref, ref_diag = _chain_on_data(data, ls, cfg, np.random.default_rng(12))
+    assert np.abs(est.h_fp_bayes - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.allclose(est.chain_diagnostics, ref_diag, rtol=1e-12, atol=0.0)

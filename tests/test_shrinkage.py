@@ -167,6 +167,24 @@ def test_sure_select_beats_dense_grid():
         assert val_star <= min(grid_vals) + 1e-7 * max(1.0, abs(min(grid_vals)))
 
 
+def test_sure_select_beats_dense_grid_with_several_zero_values():
+    # several exact zeros once made every call of _deduped jitter again, so
+    # the knot at 5.954 was scored as its left limit and lost to 4.457
+    s = np.array([128.998, 5.954, 3.925] + [0.0] * 7)
+    sigma, i, j = 1.70, 10, 10
+    lam_star = sure_select(s, sigma, i, j)
+    val_star = sure_risk(s, lam_star, sigma, i, j)
+    grid_vals = [sure_risk(s, lam, sigma, i, j) for lam in np.linspace(0.0, 1.05 * s[0], 20001)]
+    assert val_star <= min(grid_vals) + 1e-7 * max(1.0, abs(min(grid_vals)))
+
+
+def test_deduped_is_idempotent():
+    for s in ([3.0, 3.0, 2.0], [5.0, 2.0, 0.0, 0.0], [4.0, 4.0, 0.0, 0.0, 0.0]):
+        once = _deduped(np.asarray(s))
+        assert np.array_equal(_deduped(once), once)
+    assert np.array_equal(_deduped(np.array([5.0, 2.0, 0.0, 0.0])), [5.0, 2.0, 0.0, 0.0])
+
+
 def test_sure_select_zeroes_pure_noise():
     rng = np.random.default_rng(16)
     sigma = 1.0
