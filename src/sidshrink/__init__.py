@@ -26,6 +26,7 @@ from .estimation import (
     LsEstimate,
     NoiseEstimate,
     RankStar,
+    WeightedSvd,
     WeightPair,
     assemble,
     build_weights,
@@ -36,6 +37,7 @@ from .estimation import (
     order_midpoint,
     rank_star,
     truncate_estimate,
+    weighted_svd,
 )
 from .linalg import build_hankel, build_selectors, psd_sqrt, pseudo_det, toeplitz_project, vec
 from .shrinkage import (
@@ -68,8 +70,8 @@ __all__ = [
     "StateSpaceModel", "SystemSpec", "TrueDecomposition", "kalman_gain",
     "sample_system", "simulate", "default_burn_in", "true_decomposition",
     "HankelData", "LsEstimate", "NoiseEstimate", "WeightPair", "RankStar",
-    "SCHEMES", "assemble", "ls_estimate", "estimate_noise", "build_weights",
-    "noise_level", "truncate_estimate", "rank_star",
+    "WeightedSvd", "SCHEMES", "assemble", "ls_estimate", "estimate_noise",
+    "build_weights", "noise_level", "weighted_svd", "truncate_estimate", "rank_star",
     "order_heuristic_neff", "order_midpoint",
     "METHODS", "ShrinkageContext", "make_context", "threshold_values",
     "soft_threshold_level", "shrink_values", "sure_risk", "sure_select",

@@ -29,6 +29,7 @@ from .estimation import (
     order_midpoint,
     rank_star,
     truncate_estimate,
+    weighted_svd,
 )
 from .shrinkage import shrink_estimate
 from .systems import (
@@ -151,15 +152,15 @@ def aggregate_risk(risks, reference_risks) -> tuple[float, float, int, int]:
     return gmean, se, int(logs.size), n_excluded
 
 
-def _method_estimate(method, data, ls, weights, rank_info, s_weighted, config, gibbs_rng):
+def _method_estimate(method, data, ls, weights, rank_info, svd, config, gibbs_rng):
     if method == "heuristic_neff":
-        r = order_heuristic_neff(s_weighted)
-        return truncate_estimate(ls.h_fp_hat, weights, min(r, s_weighted.size))
+        r = order_heuristic_neff(svd.values)
+        return truncate_estimate(svd, weights, min(r, svd.values.size))
     if method == "heuristic_midpoint":
-        r = order_midpoint(s_weighted)
-        return truncate_estimate(ls.h_fp_hat, weights, min(r, s_weighted.size))
+        r = order_midpoint(svd.values)
+        return truncate_estimate(svd, weights, min(r, svd.values.size))
     if method in ("hard", "soft", "optimal", "sure"):
-        return shrink_estimate(ls.h_fp_hat, weights, rank_info.sigma_level, method)
+        return shrink_estimate(svd, weights, rank_info.sigma_level, method)
     if method == "bayes":
         cfg = replace(config.gibbs, rank=rank_info.r_star)
         return run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, rng=gibbs_rng).h_fp_bayes
@@ -196,8 +197,8 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
             ls = ls_estimate(data)
             noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
             weights = build_weights(config.scheme, data, g_f_hat=noise.g_f_hat)
-            rank_info = rank_star(data, ls, weights)
-            s_weighted = np.linalg.svd(weights.apply(ls.h_fp_hat), compute_uv=False)
+            svd = weighted_svd(ls.h_fp_hat, weights)
+            rank_info = rank_star(data, ls, weights, svd)
 
             truth = true_decomposition(model, f, p)
             gibbs_rng = np.random.default_rng(gibbs_ss)
@@ -205,7 +206,7 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
             risks = {}
             for method in config.methods:
                 est = _method_estimate(method, data, ls, weights, rank_info,
-                                       s_weighted, config, gibbs_rng)
+                                       svd, config, gibbs_rng)
                 estimates[method] = est
                 risks[method] = realization_risk(truth.h_fp, est, weights)
             record = RunRecord(

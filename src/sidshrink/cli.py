@@ -38,6 +38,7 @@ from .estimation import (
     order_midpoint,
     rank_star,
     truncate_estimate,
+    weighted_svd,
 )
 from .shrinkage import make_context, shrink_estimate, shrink_values
 
@@ -192,20 +193,19 @@ def cmd_identify(args: argparse.Namespace) -> int:
     ls = ls_estimate(data)
     noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
     weights = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
-    rank_info = rank_star(data, ls, weights)
-    weighted = weights.apply(ls.h_fp_hat)
-    s_weighted = np.linalg.svd(weighted, compute_uv=False)
+    svd = weighted_svd(ls.h_fp_hat, weights)
+    rank_info = rank_star(data, ls, weights, svd)
 
     if method == "heuristic_neff":
-        order = min(order_heuristic_neff(s_weighted), s_weighted.size)
-        estimate = truncate_estimate(ls.h_fp_hat, weights, order)
+        order = min(order_heuristic_neff(svd.values), svd.values.size)
+        estimate = truncate_estimate(svd, weights, order)
     elif method == "heuristic_midpoint":
-        order = min(order_midpoint(s_weighted), s_weighted.size)
-        estimate = truncate_estimate(ls.h_fp_hat, weights, order)
+        order = min(order_midpoint(svd.values), svd.values.size)
+        estimate = truncate_estimate(svd, weights, order)
     elif method in ("hard", "soft", "optimal", "sure"):
-        estimate = shrink_estimate(ls.h_fp_hat, weights, rank_info.sigma_level, method)
-        ctx = make_context(weighted.shape, rank_info.sigma_level)
-        order = int(np.count_nonzero(shrink_values(s_weighted, ctx, method) > 0))
+        estimate = shrink_estimate(svd, weights, rank_info.sigma_level, method)
+        ctx = make_context(svd.m.shape, rank_info.sigma_level)
+        order = int(np.count_nonzero(shrink_values(svd.values, ctx, method) > 0))
     elif method == "bayes":
         gibbs = _gibbs_config(resolved, rank=rank_info.r_star)
         rng = np.random.default_rng(resolved["seed"])
@@ -228,7 +228,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     write_matrices(out, {
         "h_fp_ls": ls.h_fp_hat,
         "h_fp_est": estimate,
-        "singular_values": s_weighted.reshape(1, -1),
+        "singular_values": svd.values.reshape(1, -1),
         "sigma": np.array([[rank_info.sigma_level]]),
         "r_star": np.array([[float(rank_info.r_star)]]),
         "order": np.array([[float(order)]]),

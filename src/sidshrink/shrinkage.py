@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
-    from .estimation import WeightPair
+    from .estimation import WeightedSvd, WeightPair
 
 __all__ = [
     "METHODS",
@@ -38,17 +38,13 @@ _JITTER_REL = 1e-9
 
 @dataclass(frozen=True)
 class ShrinkageContext:
-    """Shape and noise level of the weighted matrix being denoised.
-
-    i <= j is enforced by transposition before shrinking; `transposed`
-    records whether the input had to be flipped.
-    """
+    """Shape and noise level of the weighted matrix being denoised, with
+    i <= j its smaller and larger dimension."""
 
     i: int
     j: int
     beta: float
     sigma: float
-    transposed: bool = False
 
     def __post_init__(self):
         if not 1 <= self.i <= self.j:
@@ -58,10 +54,8 @@ class ShrinkageContext:
 
 
 def make_context(shape: tuple[int, int], sigma: float) -> ShrinkageContext:
-    rows, cols = shape
-    transposed = rows > cols
-    i, j = (cols, rows) if transposed else (rows, cols)
-    return ShrinkageContext(i=i, j=j, beta=i / j, sigma=sigma, transposed=transposed)
+    i, j = sorted(shape)
+    return ShrinkageContext(i=i, j=j, beta=i / j, sigma=sigma)
 
 
 def soft_threshold_level(i: int, j: int, sigma: float) -> float:
@@ -210,20 +204,14 @@ def sure_select(s, sigma: float, i: int, j: int) -> float:
     return float(lam[np.flatnonzero(risk == risk.min())[-1]])
 
 
-def shrink_estimate(h_fp_hat: np.ndarray, weights: "WeightPair",
+def shrink_estimate(estimate: "WeightedSvd | np.ndarray", weights: "WeightPair",
                     sigma_level: float, method: str) -> np.ndarray:
-    """Shrink the weighted estimate and map back to original coordinates.
-
-    The weighted matrix is transposed when needed so i <= j, shrunk along
-    its singular values, transposed back, and unweighted (Moore-Penrose for
-    rectangular column weights).
-    """
-    m = weights.apply(h_fp_hat)
-    ctx = make_context(m.shape, sigma_level)
-    work = m.T if ctx.transposed else m
-    u, s, vt = np.linalg.svd(work, full_matrices=False)
-    s_shr = shrink_values(s, ctx, method)
-    denoised = (u * s_shr) @ vt
-    if ctx.transposed:
-        denoised = denoised.T
-    return weights.unapply(denoised)
+    """Shrink the singular values of the weighted estimate and map back to
+    original coordinates (Moore-Penrose unweighting for rectangular column
+    weights). A raw estimate is factored first."""
+    if isinstance(estimate, np.ndarray):
+        from .estimation import weighted_svd  # estimation imports this module
+        estimate = weighted_svd(estimate, weights)
+    ctx = make_context(estimate.m.shape, sigma_level)
+    s_shr = shrink_values(estimate.s, ctx, method)
+    return weights.unapply((estimate.u * s_shr) @ estimate.vt)

@@ -12,6 +12,7 @@ from sidshrink.estimation import (
     estimate_noise,
     ls_estimate,
     rank_star,
+    weighted_svd,
 )
 
 
@@ -139,7 +140,7 @@ def test_identify_bayes_chain_draws_from_seed(tmp_path, simulated, capsys):
     ls = ls_estimate(data)
     noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
     weights = build_weights("identity", data, g_f_hat=noise.g_f_hat)
-    r_star = rank_star(data, ls, weights).r_star
+    r_star = rank_star(data, ls, weights, weighted_svd(ls.h_fp_hat, weights)).r_star
     expect = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, GibbsConfig(rank=r_star, n_total=30),
                        np.random.default_rng(5)).h_fp_bayes
     assert np.array_equal(est[5], expect)

@@ -14,6 +14,7 @@ from sidshrink.estimation import (
     order_midpoint,
     rank_star,
     truncate_estimate,
+    weighted_svd,
 )
 from sidshrink.shrinkage import soft_threshold_level
 from sidshrink.systems import true_decomposition
@@ -338,7 +339,8 @@ def test_rank_star_pure_noise():
     data = HankelData(y_f=y_f, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
                       f=f, p=p, n_cols=j, n_i=1, n_o=1)
     ls = ls_estimate(data)
-    rs = rank_star(data, ls, build_weights("identity", data))
+    w = build_weights("identity", data)
+    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
     assert rs.r_star == 1
     assert rs.count_above == 0
     assert rs.converged
@@ -347,7 +349,8 @@ def test_rank_star_pure_noise():
 def test_rank_star_strong_rank_two_signal():
     data, _ = _synthetic(42, f=5, p=5, j=800)
     ls = ls_estimate(data)
-    rs = rank_star(data, ls, build_weights("identity", data))
+    w = build_weights("identity", data)
+    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
     assert rs.r_star == 3
     assert rs.count_above == 2
     assert rs.converged
@@ -358,7 +361,7 @@ def test_rank_star_self_consistency():
     data, _ = _synthetic(42, f=5, p=5, j=800)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
-    rs = rank_star(data, ls, w)
+    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
     s_all = np.linalg.svd(w.apply(ls.h_fp_hat), compute_uv=False)
     for r in range(1, rs.r_star + 1):
         trunc = truncate_estimate(ls.h_fp_hat, w, r)
@@ -389,7 +392,8 @@ def test_rank_star_no_fixed_point_flag():
     data = HankelData(y_f=h @ z, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
                       f=f, p=p, n_cols=j, n_i=1, n_o=1)
     ls = ls_estimate(data)
-    rs = rank_star(data, ls, build_weights("identity", data))
+    w = build_weights("identity", data)
+    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
     assert not rs.converged
     assert rs.r_star == 4
     assert rs.count_above == 4
