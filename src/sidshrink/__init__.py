@@ -12,9 +12,11 @@ from .bayes import GibbsConfig, GibbsEstimate, GibbsState, init_gibbs, run_gibbs
 from .bench import (
     METHOD_NAMES,
     BenchConfig,
+    Identification,
     RiskReport,
     RunRecord,
     aggregate_risk,
+    identify,
     realization_risk,
     run_benchmark,
     single_run,
@@ -77,6 +79,6 @@ __all__ = [
     "soft_threshold_level", "shrink_values", "sure_risk", "sure_select",
     "shrink_estimate",
     "GibbsConfig", "GibbsState", "GibbsEstimate", "init_gibbs", "run_gibbs",
-    "METHOD_NAMES", "BenchConfig", "RunRecord", "RiskReport",
-    "realization_risk", "aggregate_risk", "run_benchmark", "single_run",
+    "METHOD_NAMES", "BenchConfig", "Identification", "RunRecord", "RiskReport",
+    "identify", "realization_risk", "aggregate_risk", "run_benchmark", "single_run",
 ]

@@ -20,6 +20,10 @@ from .bayes import GibbsConfig, run_gibbs
 from .errors import ConfigError, DataError, NumericalError
 from .estimation import (
     SCHEMES,
+    HankelData,
+    LsEstimate,
+    RankStar,
+    WeightedSvd,
     WeightPair,
     assemble,
     build_weights,
@@ -31,7 +35,7 @@ from .estimation import (
     truncate_estimate,
     weighted_svd,
 )
-from .shrinkage import shrink_estimate
+from .shrinkage import METHODS as SHRINKERS, make_context, shrink_estimate, shrink_values
 from .systems import (
     SystemSpec,
     default_burn_in,
@@ -44,10 +48,12 @@ __all__ = [
     "METHOD_NAMES",
     "REFERENCE_METHOD",
     "BenchConfig",
+    "Identification",
     "RunRecord",
     "RiskReport",
     "realization_risk",
     "aggregate_risk",
+    "identify",
     "run_benchmark",
     "single_run",
 ]
@@ -99,6 +105,7 @@ class RunRecord:
     r_star: int
     rank_converged: bool
     risks: dict[str, float]
+    orders: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class RunPayload:
-    """Raw realization data kept only on request (CLI simulate/identify)."""
+    """Raw realization data kept only on request (CLI simulate, tests)."""
     model: object
     snr: float
     u: np.ndarray
@@ -152,19 +159,48 @@ def aggregate_risk(risks, reference_risks) -> tuple[float, float, int, int]:
     return gmean, se, int(logs.size), n_excluded
 
 
-def _method_estimate(method, data, ls, weights, rank_info, svd, config, gibbs_rng):
-    if method == "heuristic_neff":
-        r = order_heuristic_neff(svd.values)
-        return truncate_estimate(svd, weights, min(r, svd.values.size))
-    if method == "heuristic_midpoint":
-        r = order_midpoint(svd.values)
-        return truncate_estimate(svd, weights, min(r, svd.values.size))
-    if method in ("hard", "soft", "optimal", "sure"):
-        return shrink_estimate(svd, weights, rank_info.sigma_level, method)
-    if method == "bayes":
-        cfg = replace(config.gibbs, rank=rank_info.r_star)
-        return run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, rng=gibbs_rng).h_fp_bayes
-    raise ConfigError(f"unknown method {method!r}")
+@dataclass(frozen=True)
+class Identification:
+    """What identify returns; orders holds the rank each estimate kept."""
+    ls: LsEstimate
+    weights: WeightPair
+    svd: WeightedSvd
+    rank: RankStar
+    estimates: dict[str, np.ndarray]
+    orders: dict[str, int]
+
+
+def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
+             gibbs: GibbsConfig, rng: np.random.Generator) -> Identification:
+    """LS estimate, noise, weights, one weighted SVD and r*, then each
+    method's estimate and the rank it kept: the rule's order for a
+    heuristic, the count of values a shrinker leaves nonzero, r* for bayes.
+    The chain runs at rank r* and is the only reader of rng."""
+    ls = ls_estimate(data)
+    noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
+    weights = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
+    svd = weighted_svd(ls.h_fp_hat, weights)
+    rank = rank_star(data, ls, weights, svd)
+    ctx = make_context(svd.m.shape, rank.sigma_level)
+    estimates, orders = {}, {}
+    for method in methods:
+        if method in ("heuristic_neff", "heuristic_midpoint"):
+            order = (order_heuristic_neff(svd.values) if method == "heuristic_neff"
+                     else order_midpoint(svd.values))
+            estimates[method] = truncate_estimate(svd, weights, order)
+        elif method in SHRINKERS:
+            # method stays positional: the benchmark's tracer reads args[3]
+            estimates[method] = shrink_estimate(svd, weights, rank.sigma_level, method)
+            order = int(np.count_nonzero(shrink_values(svd.values, ctx, method) > 0))
+        elif method == "bayes":
+            chain = replace(gibbs, rank=rank.r_star)
+            estimates[method] = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, chain, rng).h_fp_bayes
+            order = rank.r_star
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+        orders[method] = order
+    return Identification(ls=ls, weights=weights, svd=svd, rank=rank,
+                          estimates=estimates, orders=orders)
 
 
 def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
@@ -193,35 +229,24 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
             y = simulate(model, u_full, rng, burn_in=burn)
             u = u_full[burn:]
 
-            data = assemble(u, y, f, p)
-            ls = ls_estimate(data)
-            noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-            weights = build_weights(config.scheme, data, g_f_hat=noise.g_f_hat)
-            svd = weighted_svd(ls.h_fp_hat, weights)
-            rank_info = rank_star(data, ls, weights, svd)
-
+            ident = identify(assemble(u, y, f, p), config.scheme, config.methods,
+                             config.gibbs, np.random.default_rng(gibbs_ss))
             truth = true_decomposition(model, f, p)
-            gibbs_rng = np.random.default_rng(gibbs_ss)
-            estimates = {}
-            risks = {}
-            for method in config.methods:
-                est = _method_estimate(method, data, ls, weights, rank_info,
-                                       svd, config, gibbs_rng)
-                estimates[method] = est
-                risks[method] = realization_risk(truth.h_fp, est, weights)
             record = RunRecord(
                 run_id=run_id,
                 n_x=model.n_x,
                 snr=snr,
                 attempts=attempt + 1,
-                r_star=rank_info.r_star,
-                rank_converged=rank_info.converged,
-                risks=risks,
+                r_star=ident.rank.r_star,
+                rank_converged=ident.rank.converged,
+                risks={m: realization_risk(truth.h_fp, est, ident.weights)
+                       for m, est in ident.estimates.items()},
+                orders=ident.orders,
             )
             if keep_payload:
                 payload = RunPayload(model=model, snr=snr, u=u, y=y, f=f, p=p,
-                                     h_fp_true=truth.h_fp, estimates=estimates,
-                                     weights=weights)
+                                     h_fp_true=truth.h_fp, estimates=ident.estimates,
+                                     weights=ident.weights)
                 return record, payload
             return record
         except (NumericalError, DataError) as exc:

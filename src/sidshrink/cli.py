@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .bayes import GibbsConfig, run_gibbs
+from .bayes import GibbsConfig
 from .bench import (
     METHOD_NAMES,
     BenchConfig,
+    identify,
     run_benchmark,
     single_run,
 )
@@ -29,7 +30,9 @@ from .dataio import (
     write_timeseries,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .estimation import (
+# perfbench/tracing.py wraps these names in this module; cli itself calls only assemble
+from .bayes import run_gibbs  # noqa: F401
+from .estimation import (  # noqa: F401
     assemble,
     build_weights,
     estimate_noise,
@@ -38,9 +41,8 @@ from .estimation import (
     order_midpoint,
     rank_star,
     truncate_estimate,
-    weighted_svd,
 )
-from .shrinkage import make_context, shrink_estimate, shrink_values
+from .shrinkage import shrink_estimate  # noqa: F401
 
 # flag spellings -> internal identifiers
 _METHOD_MAP = {
@@ -133,10 +135,9 @@ def parse_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _gibbs_config(resolved: dict, rank: int = 1) -> GibbsConfig:
-    """Chain settings from the resolved config; the benchmark replaces the
-    placeholder rank with each realization's r*."""
-    return GibbsConfig(rank=rank, n_total=resolved["nf"], n_burn=resolved["no"],
+def _gibbs_config(resolved: dict) -> GibbsConfig:
+    """Chain settings from the resolved config; identify sets the rank to r*."""
+    return GibbsConfig(rank=1, n_total=resolved["nf"], n_burn=resolved["no"],
                        gf_variant=resolved["gf_variant"],
                        rao_blackwell=resolved["rao_blackwell"])
 
@@ -187,53 +188,30 @@ def cmd_identify(args: argparse.Namespace) -> int:
     if f < 1 or p < 1:
         raise DataError(f"dataset too short for identification ({t_samples} rows)")
     method = resolved["method"]
-    scheme = resolved["scheme"]
-
-    data = assemble(u, y, f, p)
-    ls = ls_estimate(data)
-    noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-    weights = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
-    svd = weighted_svd(ls.h_fp_hat, weights)
-    rank_info = rank_star(data, ls, weights, svd)
-
-    if method == "heuristic_neff":
-        order = min(order_heuristic_neff(svd.values), svd.values.size)
-        estimate = truncate_estimate(svd, weights, order)
-    elif method == "heuristic_midpoint":
-        order = min(order_midpoint(svd.values), svd.values.size)
-        estimate = truncate_estimate(svd, weights, order)
-    elif method in ("hard", "soft", "optimal", "sure"):
-        estimate = shrink_estimate(svd, weights, rank_info.sigma_level, method)
-        ctx = make_context(svd.m.shape, rank_info.sigma_level)
-        order = int(np.count_nonzero(shrink_values(svd.values, ctx, method) > 0))
-    elif method == "bayes":
-        gibbs = _gibbs_config(resolved, rank=rank_info.r_star)
-        rng = np.random.default_rng(resolved["seed"])
-        estimate = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, gibbs, rng).h_fp_bayes
-        order = rank_info.r_star
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    ident = identify(assemble(u, y, f, p), resolved["scheme"], (method,),
+                     _gibbs_config(resolved), np.random.default_rng(resolved["seed"]))
+    order = ident.orders[method]
 
     out = Path(args.out if args.out else "identified.csv")
     header = {
         "command": "identify",
         "version": __version__,
         "method": method,
-        "scheme": scheme,
+        "scheme": resolved["scheme"],
         "f": f,
         "p": p,
         "n_samples": t_samples,
         "seed": resolved["seed"],
     }
     write_matrices(out, {
-        "h_fp_ls": ls.h_fp_hat,
-        "h_fp_est": estimate,
-        "singular_values": svd.values.reshape(1, -1),
-        "sigma": np.array([[rank_info.sigma_level]]),
-        "r_star": np.array([[float(rank_info.r_star)]]),
+        "h_fp_ls": ident.ls.h_fp_hat,
+        "h_fp_est": ident.estimates[method],
+        "singular_values": ident.svd.values.reshape(1, -1),
+        "sigma": np.array([[ident.rank.sigma_level]]),
+        "r_star": np.array([[float(ident.rank.r_star)]]),
         "order": np.array([[float(order)]]),
     }, config=header)
-    print(f"wrote {out} (method={method}, order={order}, r*={rank_info.r_star})")
+    print(f"wrote {out} (method={method}, order={order}, r*={ident.rank.r_star})")
     return 0
 
 
@@ -268,10 +246,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -172,24 +172,24 @@ def read_matrices(path) -> tuple[dict, dict]:
 
 def write_run_records(path, records, scheme: str, config: dict | None = None) -> None:
     """Per-run benchmark table:
-    run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged.
+    run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged,order.
 
-    r_star is the run's self-consistent truncation rank; rank_converged is
-    1 when some rank met its rule and 0 when none did and r_star is the
-    full rank (see estimation.rank_star).
+    r_star is the run's self-consistent truncation rank (estimation.rank_star);
+    rank_converged is 0 when no rank met its rule and r_star is the full
+    rank, else 1; order is the rank the method's estimate kept (bench.identify).
     """
     from .bench import REFERENCE_METHOD   # local import: bench pulls in heavy deps
 
     with open(path, "w", encoding="utf-8") as fh:
         for line in _header_lines(config):
             fh.write(line + "\n")
-        fh.write("run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged\n")
+        fh.write("run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged,order\n")
         for rec in records:
             ref = rec.risks[REFERENCE_METHOD]
             for method, risk in rec.risks.items():
                 fh.write(f"{rec.run_id},{rec.n_x},{format_float(rec.snr)},{scheme},"
                          f"{method},{format_float(risk)},{format_float(ref)},"
-                         f"{rec.r_star},{int(rec.rank_converged)}\n")
+                         f"{rec.r_star},{int(rec.rank_converged)},{rec.orders[method]}\n")
 
 
 def write_summary(path, summary: dict, config: dict | None = None) -> None:

@@ -109,7 +109,6 @@ class WeightPair:
 class RankStar:
     r_star: int
     sigma_level: float
-    count_above: int
     converged: bool
 
 
@@ -347,10 +346,8 @@ def rank_star(data: HankelData, ls: LsEstimate, weights: WeightPair,
         h_trunc = truncate_estimate(svd, weights, r)
         noise = estimate_noise(data, h_trunc, ls.h_f_hat, rank_used=r)
         sigma_r = noise_level(weights, noise.g_hat_sq)
-        lam_soft = soft_threshold_level(dim_i, dim_j, sigma_r)
-        count = int(np.sum(svd.values > lam_soft))
-        last = RankStar(r_star=r, sigma_level=sigma_r, count_above=count, converged=True)
-        if count < r:
+        last = RankStar(r_star=r, sigma_level=sigma_r, converged=True)
+        if np.sum(svd.values > soft_threshold_level(dim_i, dim_j, sigma_r)) < r:
             return last
     return replace(last, converged=False)
 

@@ -10,12 +10,13 @@ from sidshrink.bench import (
     BenchConfig,
     RunRecord,
     aggregate_risk,
+    identify,
     realization_risk,
     run_benchmark,
     single_run,
 )
 from sidshrink.errors import ConfigError
-from sidshrink.estimation import HankelData, build_weights
+from sidshrink.estimation import HankelData, assemble, build_weights
 from sidshrink.systems import sample_system
 
 FAST_METHODS = ("heuristic_neff", "heuristic_midpoint", "hard", "soft",
@@ -142,6 +143,21 @@ def test_identity_risk_is_plain_frobenius_error():
         for method, est in payload.estimates.items():
             plain = float(np.linalg.norm(payload.h_fp_true - est, "fro") ** 2)
             assert record.risks[method] == pytest.approx(plain, rel=1e-12, abs=1e-300)
+
+
+def test_single_run_scores_what_identify_returns():
+    cfg = _cfg(runs=2, seed=3, methods=METHOD_NAMES)
+    for rid in range(cfg.runs):
+        record, payload = single_run(cfg, rid, keep_payload=True)
+        # the chain's stream of the attempt that succeeded
+        _, gibbs_ss = np.random.SeedSequence([cfg.seed, rid, record.attempts - 1]).spawn(2)
+        ident = identify(assemble(payload.u, payload.y, payload.f, payload.p), "identity",
+                         METHOD_NAMES, cfg.gibbs, np.random.default_rng(gibbs_ss))
+        assert record.r_star == ident.rank.r_star
+        assert record.orders == ident.orders
+        for method in METHOD_NAMES:
+            assert record.risks[method] == realization_risk(
+                payload.h_fp_true, ident.estimates[method], ident.weights)
 
 
 def test_bayes_method_runs_end_to_end():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sidshrink.bayes import GibbsConfig, run_gibbs
-from sidshrink.cli import build_parser, main, parse_config
+from sidshrink.bench import METHOD_NAMES, identify
+from sidshrink.cli import _METHOD_MAP, build_parser, main, parse_config
 from sidshrink.dataio import read_matrices, read_timeseries, write_timeseries
+from sidshrink.errors import ConfigError
 from sidshrink.estimation import (
     assemble,
     build_weights,
@@ -145,6 +147,36 @@ def test_identify_bayes_chain_draws_from_seed(tmp_path, simulated, capsys):
                        np.random.default_rng(5)).h_fp_bayes
     assert np.array_equal(est[5], expect)
     assert not np.array_equal(est[6], est[5])
+
+
+def _simulated_data(path):
+    u, y, meta = read_timeseries(path)
+    return assemble(u, y, int(meta["f"]), int(meta["p"]))
+
+
+def test_identify_command_writes_what_identify_returns(tmp_path, simulated, capsys):
+    # one library call with every method gives, bit for bit, what one CLI
+    # run per method writes: the chain reads the seed's stream alone
+    ident = identify(_simulated_data(simulated), "identity", METHOD_NAMES,
+                     GibbsConfig(rank=1, n_total=30), np.random.default_rng(5))
+    for spelling, method in _METHOD_MAP.items():
+        out = tmp_path / f"{spelling}.csv"
+        assert _run(["identify", str(simulated), "--method", spelling, "--nf", "30",
+                     "--seed", "5", "--out", str(out)]) == 0
+        mats = read_matrices(out)[0]
+        assert np.array_equal(mats["h_fp_est"], ident.estimates[method]), spelling
+        assert np.array_equal(mats["order"], [[ident.orders[method]]]), spelling
+        assert np.array_equal(mats["r_star"], [[ident.rank.r_star]])
+        assert np.array_equal(mats["sigma"], [[ident.rank.sigma_level]])
+    capsys.readouterr()
+
+
+def test_method_spellings_cover_every_method_and_identify_rejects_others(simulated, capsys):
+    assert set(_METHOD_MAP.values()) == set(METHOD_NAMES)
+    with pytest.raises(ConfigError, match="lasso"):
+        identify(_simulated_data(simulated), "identity", ("lasso",),
+                 GibbsConfig(rank=1), np.random.default_rng(0))
+    capsys.readouterr()
 
 
 def test_identify_missing_file(tmp_path, capsys):

@@ -110,14 +110,15 @@ def test_matrices_malformed_section(tmp_path):
 def test_run_records_layout(tmp_path):
     rec = RunRecord(run_id=0, n_x=2, snr=1.5, attempts=1, r_star=1,
                     rank_converged=True,
-                    risks={"heuristic_neff": 2.0, "soft": 1.0})
+                    risks={"heuristic_neff": 2.0, "soft": 1.0},
+                    orders={"heuristic_neff": 3, "soft": 0})
     path = tmp_path / "runs.csv"
     write_run_records(path, [rec], scheme="identity", config={"runs": 1})
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged"
+    assert lines[0] == "run_id,nx,snr,scheme,method,risk,risk_ref,r_star,rank_converged,order"
     assert len(lines) == 3  # one line per method
-    assert lines[1] == "0,2,1.5,identity,heuristic_neff,2.0,2.0,1,1"
-    assert lines[2] == "0,2,1.5,identity,soft,1.0,2.0,1,1"
+    assert lines[1] == "0,2,1.5,identity,heuristic_neff,2.0,2.0,1,1,3"
+    assert lines[2] == "0,2,1.5,identity,soft,1.0,2.0,1,1,0"
 
 
 def test_summary_json_roundtrip(tmp_path):

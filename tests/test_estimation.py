@@ -340,9 +340,10 @@ def test_rank_star_pure_noise():
                       f=f, p=p, n_cols=j, n_i=1, n_o=1)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
-    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
+    svd = weighted_svd(ls.h_fp_hat, w)
+    rs = rank_star(data, ls, w, svd)
     assert rs.r_star == 1
-    assert rs.count_above == 0
+    assert np.sum(svd.values > soft_threshold_level(4, 8, rs.sigma_level)) == 0
     assert rs.converged
 
 
@@ -350,9 +351,10 @@ def test_rank_star_strong_rank_two_signal():
     data, _ = _synthetic(42, f=5, p=5, j=800)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
-    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
+    svd = weighted_svd(ls.h_fp_hat, w)
+    rs = rank_star(data, ls, w, svd)
     assert rs.r_star == 3
-    assert rs.count_above == 2
+    assert np.sum(svd.values > soft_threshold_level(5, 10, rs.sigma_level)) == 2
     assert rs.converged
 
 
@@ -373,7 +375,7 @@ def test_rank_star_self_consistency():
             assert count >= r
         else:
             assert count < r
-            assert count == rs.count_above
+            assert count == np.sum(s_all > soft_threshold_level(5, 10, rs.sigma_level))
             assert sigma_r == pytest.approx(rs.sigma_level, rel=1e-12)
 
 
@@ -393,10 +395,11 @@ def test_rank_star_no_fixed_point_flag():
                       f=f, p=p, n_cols=j, n_i=1, n_o=1)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
-    rs = rank_star(data, ls, w, weighted_svd(ls.h_fp_hat, w))
+    svd = weighted_svd(ls.h_fp_hat, w)
+    rs = rank_star(data, ls, w, svd)
     assert not rs.converged
     assert rs.r_star == 4
-    assert rs.count_above == 4
+    assert np.sum(svd.values > soft_threshold_level(4, 8, rs.sigma_level)) == 4
 
 
 # ----------------------------------------------------------- order heuristics

@@ -45,8 +45,8 @@ def _per_call_rank_star(data, ls, weights):
         sigma_r = noise_level(weights, noise.g_hat_sq)
         count = int(np.sum(s_all > soft_threshold_level(dim_i, dim_j, sigma_r)))
         if count < r:
-            return RankStar(r_star=r, sigma_level=sigma_r, count_above=count, converged=True)
-    return RankStar(r_star=dim_i, sigma_level=sigma_r, count_above=count, converged=False)
+            return RankStar(r_star=r, sigma_level=sigma_r, converged=True)
+    return RankStar(r_star=dim_i, sigma_level=sigma_r, converged=False)
 
 
 def _realization(scheme, run_id):
