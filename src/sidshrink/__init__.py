@@ -13,9 +13,11 @@ from .bench import (
     METHOD_NAMES,
     BenchConfig,
     Identification,
+    Realization,
     RiskReport,
     RunRecord,
     aggregate_risk,
+    draw_realization,
     identify,
     realization_risk,
     run_benchmark,
@@ -79,6 +81,7 @@ __all__ = [
     "soft_threshold_level", "shrink_values", "sure_risk", "sure_select",
     "shrink_estimate",
     "GibbsConfig", "GibbsState", "GibbsEstimate", "init_gibbs", "run_gibbs",
-    "METHOD_NAMES", "BenchConfig", "Identification", "RunRecord", "RiskReport",
-    "identify", "realization_risk", "aggregate_risk", "run_benchmark", "single_run",
+    "METHOD_NAMES", "BenchConfig", "Identification", "Realization", "RunRecord",
+    "RiskReport", "draw_realization", "identify", "realization_risk", "aggregate_risk",
+    "run_benchmark", "single_run",
 ]

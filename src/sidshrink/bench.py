@@ -37,6 +37,7 @@ from .estimation import (
 )
 from .shrinkage import METHODS as SHRINKERS, make_context, shrink_estimate, shrink_values
 from .systems import (
+    StateSpaceModel,
     SystemSpec,
     default_burn_in,
     sample_system,
@@ -49,10 +50,12 @@ __all__ = [
     "REFERENCE_METHOD",
     "BenchConfig",
     "Identification",
+    "Realization",
     "RunRecord",
     "RiskReport",
     "realization_risk",
     "aggregate_risk",
+    "draw_realization",
     "identify",
     "run_benchmark",
     "single_run",
@@ -203,39 +206,60 @@ def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
                           estimates=estimates, orders=orders)
 
 
+@dataclass(frozen=True)
+class Realization:
+    """One sampled system and its simulated record; u and y start after the
+    burn-in, and f = p is the protocol's horizon."""
+    model: StateSpaceModel
+    snr: float
+    u: np.ndarray
+    y: np.ndarray
+    f: int
+    p: int
+
+
+def _streams(seed: int, run_id: int, attempt: int) -> list[np.random.SeedSequence]:
+    """The (system, chain) seed sequences of one attempt."""
+    return np.random.SeedSequence([seed, run_id, attempt]).spawn(2)
+
+
+def draw_realization(seed: int, run_id: int, attempt: int) -> Realization:
+    """Sample a system and simulate its record from the attempt's system
+    stream. A horizon that does not exceed the state dimension is a
+    protocol fault, not a bad draw, and raises ConfigError."""
+    rng = np.random.default_rng(_streams(seed, run_id, attempt)[0])
+    model, snr, n_samples, i_horizon = sample_system(SystemSpec(), rng)
+    f = p = i_horizon
+    if f <= model.n_x:
+        raise ConfigError(f"future horizon {f} must exceed the state "
+                          f"dimension {model.n_x}")
+    burn = default_burn_in(model)
+    total = burn + n_samples + f + p
+    u_full = rng.normal(0.0, math.sqrt(snr), size=(total, model.n_i))
+    y = simulate(model, u_full, rng, burn_in=burn)
+    return Realization(model=model, snr=snr, u=u_full[burn:], y=y, f=f, p=p)
+
+
 def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
-    """One Monte Carlo realization: sample, simulate, identify, score.
+    """One Monte Carlo realization: draw, identify, score.
 
     Retries with a fresh stream on numerical or data failure; the attempt
-    index is folded into the seed so retries are reproducible. A horizon
-    that does not exceed the state dimension is a protocol fault, not a bad
-    draw, and raises ConfigError without a retry. Returns RunRecord, or
+    index is folded into the seed so retries are reproducible. A protocol
+    fault raises ConfigError without a retry. Returns RunRecord, or
     (RunRecord, RunPayload) when keep_payload is set.
     """
-    spec = SystemSpec()
     last_error = None
     for attempt in range(MAX_ATTEMPTS):
-        sys_ss, gibbs_ss = np.random.SeedSequence([config.seed, run_id, attempt]).spawn(2)
-        rng = np.random.default_rng(sys_ss)
         try:
-            model, snr, n_samples, i_horizon = sample_system(spec, rng)
-            f = p = i_horizon
-            if f <= model.n_x:
-                raise ConfigError(f"future horizon {f} must exceed the state "
-                                  f"dimension {model.n_x}")
-            burn = default_burn_in(model)
-            total = burn + n_samples + f + p
-            u_full = rng.normal(0.0, math.sqrt(snr), size=(total, model.n_i))
-            y = simulate(model, u_full, rng, burn_in=burn)
-            u = u_full[burn:]
-
-            ident = identify(assemble(u, y, f, p), config.scheme, config.methods,
-                             config.gibbs, np.random.default_rng(gibbs_ss))
-            truth = true_decomposition(model, f, p)
+            draw = draw_realization(config.seed, run_id, attempt)
+            chain_rng = np.random.default_rng(_streams(config.seed, run_id, attempt)[1])
+            ident = identify(assemble(draw.u, draw.y, draw.f, draw.p), config.scheme,
+                             config.methods, config.gibbs, chain_rng)
+            truth = true_decomposition(draw.model, draw.f, draw.p)
             record = RunRecord(
                 run_id=run_id,
-                n_x=model.n_x,
-                snr=snr,
+                n_x=draw.model.n_x,
+                snr=draw.snr,
                 attempts=attempt + 1,
                 r_star=ident.rank.r_star,
                 rank_converged=ident.rank.converged,
@@ -244,9 +268,9 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
                 orders=ident.orders,
             )
             if keep_payload:
-                payload = RunPayload(model=model, snr=snr, u=u, y=y, f=f, p=p,
-                                     h_fp_true=truth.h_fp, estimates=ident.estimates,
-                                     weights=ident.weights)
+                payload = RunPayload(model=draw.model, snr=draw.snr, u=draw.u, y=draw.y,
+                                     f=draw.f, p=draw.p, h_fp_true=truth.h_fp,
+                                     estimates=ident.estimates, weights=ident.weights)
                 return record, payload
             return record
         except (NumericalError, DataError) as exc:

@@ -15,11 +15,12 @@ import numpy as np
 from ._version import __version__
 from .bayes import GibbsConfig
 from .bench import (
+    MAX_ATTEMPTS,
     METHOD_NAMES,
     BenchConfig,
+    draw_realization,
     identify,
     run_benchmark,
-    single_run,
 )
 from .dataio import (
     _sanitize,
@@ -30,6 +31,7 @@ from .dataio import (
     write_timeseries,
 )
 from .errors import ConfigError, DataError, NumericalError
+from .systems import true_decomposition
 # perfbench/tracing.py wraps these names in this module; cli itself calls only assemble
 from .bayes import run_gibbs  # noqa: F401
 from .estimation import (  # noqa: F401
@@ -152,28 +154,40 @@ def _bench_config(resolved: dict, runs: int | None = None) -> BenchConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Write realization 0 of the benchmark protocol at the configured seed:
+    the first attempt whose draw succeeds, with no estimator run."""
     resolved = parse_config(args)
     config = _bench_config(resolved, runs=1)
-    _, payload = single_run(config, 0, keep_payload=True)
-    n_samples = payload.u.shape[0] - payload.f - payload.p
+    last_error = None
+    for attempt in range(MAX_ATTEMPTS):
+        try:
+            draw = draw_realization(config.seed, 0, attempt)
+            break
+        except NumericalError as exc:
+            last_error = exc
+    else:
+        raise NumericalError(f"no realization after {MAX_ATTEMPTS} attempts; "
+                             f"last error: {last_error}")
+    model = draw.model
+    h_fp_true = true_decomposition(model, draw.f, draw.p).h_fp
+    n_samples = draw.u.shape[0] - draw.f - draw.p
     meta = {
         "command": "simulate",
         "version": __version__,
         "seed": resolved["seed"],
         "scheme": resolved["scheme"],
-        "f": payload.f,
-        "p": payload.p,
+        "f": draw.f,
+        "p": draw.p,
         "n_samples": n_samples,
-        "snr": payload.snr,
-        "nx": payload.model.n_x,
+        "snr": draw.snr,
+        "nx": model.n_x,
     }
     out = Path(args.out if args.out else "simulated.csv")
     truth_path = out.with_name(out.stem + "_truth" + (out.suffix or ".csv"))
-    write_timeseries(out, payload.u, payload.y, config=meta)
-    model = payload.model
+    write_timeseries(out, draw.u, draw.y, config=meta)
     write_matrices(truth_path, {
         "a": model.a, "b": model.b, "c": model.c, "d": model.d,
-        "k": model.k, "sigma": model.sigma, "h_fp_true": payload.h_fp_true,
+        "k": model.k, "sigma": model.sigma, "h_fp_true": h_fp_true,
     }, config=meta)
     print(f"wrote {out} and {truth_path} (nx={model.n_x}, N={n_samples})")
     return 0

@@ -78,8 +78,13 @@ class LsEstimate:
 @dataclass(frozen=True)
 class NoiseEstimate:
     g_hat_sq: np.ndarray   # residue covariance E E' / (j - dof)
-    g_f_hat: np.ndarray    # Toeplitz-projected Cholesky factor
     dof: int
+
+    @property
+    def g_f_hat(self) -> np.ndarray:
+        """Toeplitz-projected Cholesky factor of g_hat_sq, formed on each read;
+        rank_star's per-rank estimates never read it."""
+        return toeplitz_project(_chol_psd(self.g_hat_sq))
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,8 @@ def _dof(f: int, n_i: int, n_o: int, rank_used: int | None) -> int:
 
 def estimate_noise(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
                    rank_used: int | None = None) -> NoiseEstimate:
-    """Residue covariance and its Toeplitz-projected Cholesky factor.
+    """Residue covariance; its Toeplitz-projected Cholesky factor is the
+    g_f_hat property.
 
     The divisor j - dof uses the full regressor count when rank_used is
     None, otherwise the reduced count for a rank-r truncated estimate.
@@ -207,8 +213,7 @@ def estimate_noise(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     resid = residues(data, h_fp_hat, h_f_hat)
     g_hat_sq = resid @ resid.T / (j - dof)
     g_hat_sq = (g_hat_sq + g_hat_sq.T) / 2.0
-    g_f_hat = toeplitz_project(_chol_psd(g_hat_sq))
-    return NoiseEstimate(g_hat_sq=g_hat_sq, g_f_hat=g_f_hat, dof=dof)
+    return NoiseEstimate(g_hat_sq=g_hat_sq, dof=dof)
 
 
 def _zpz_perp(data: HankelData) -> np.ndarray:

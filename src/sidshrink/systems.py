@@ -87,39 +87,51 @@ class TrueDecomposition:
 
 
 def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
-    """Steady-state Kalman gain by fixed-point Riccati iteration.
+    """Steady-state Kalman gain by structured doubling.
 
-    Iterates P <- A P A' - A P C' (C P C' + R_v)^-1 C P A' + R_w until the
-    relative Frobenius change is at or below tol. Returns (k, sigma) with
+    Solves P = A P A' - A P C' (C P C' + R_v)^-1 C P A' + R_w. Doubling step
+    k holds E_k, G_k and P_k, where P_k is the fixed-point iterate 2^k steps
+    from P = 0:
+
+        W = I + G P,  E' = E W^-1 E,  G' = G + E W^-1 G E',  P' = P + E' P W^-1 E
+
+    from E = A', G = C' R_v^-1 C, P = R_w, until the relative Frobenius change
+    of P is at or below tol. R_v must be nonsingular. Returns (k, sigma) with
     sigma = C P C' + R_v and k = A P C' sigma^-1.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     r_w = np.atleast_2d(np.asarray(r_w, dtype=float))
     r_v = np.atleast_2d(np.asarray(r_v, dtype=float))
-    p = r_w.copy()
+    n_x = a.shape[0]
+    eye = np.eye(n_x)
+    try:
+        g = c.T @ np.linalg.solve(r_v, c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"measurement noise covariance singular: {exc}") from exc
+    e, p = a.T, r_w
     residual = np.inf
     for _ in range(max_iter):
-        cpc = c @ p @ c.T + r_v
-        ap = a @ p
-        apc = ap @ c.T
         try:
-            gain_t = np.linalg.solve(cpc, apc.T)
+            # W^-1 [E, G] in one solve
+            sol = np.linalg.solve(eye + g @ p, np.hstack([e, g]))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance singular: {exc}") from exc
-        p_new = ap @ a.T - apc @ gain_t + r_w
+            raise NumericalError(f"doubling step singular: {exc}") from exc
+        w_e, w_g = sol[:, :n_x], sol[:, n_x:]
+        p_new = p + e.T @ p @ w_e
         p_new = (p_new + p_new.T) / 2.0
+        g = e @ w_g @ e.T + g
+        g = (g + g.T) / 2.0
+        e = e @ w_e
         residual = float(np.linalg.norm(p_new - p))
         p = p_new
         if residual <= tol * np.linalg.norm(p_new):
+            sigma = c @ p @ c.T + r_v
+            k = np.linalg.solve(sigma, (a @ p @ c.T).T).T
+            return k, sigma
+        if not np.isfinite(residual):
             break
-    else:
-        raise NumericalError(
-            f"Riccati fixed point did not converge: last residual {residual:.3e}"
-        )
-    sigma = c @ p @ c.T + r_v
-    k = np.linalg.solve(sigma, (a @ p @ c.T).T).T
-    return k, sigma
+    raise NumericalError(f"Riccati doubling did not converge: last residual {residual:.3e}")
 
 
 def sample_system(spec: SystemSpec, rng: np.random.Generator, max_retries: int = 50):
@@ -183,8 +195,11 @@ def simulate(model: StateSpaceModel, inputs, rng: np.random.Generator,
     their outputs are dropped, so the returned outputs align with
     inputs[burn_in:]. Noise draws are vectorised up front, which keeps the
     stream consumption independent of the state trajectory. The input terms
-    B u and D u are formed for all steps at once; the output is formed per
-    step, as C x[k] + D u[k] + v[k], so its sums keep their order.
+    B u and D u are formed for all steps at once. The loop runs the state
+    recursion alone and keeps the states; C x[k] is then formed for every
+    kept step in one batched (1 x n_x)(n_x x n_o) product, before D u[k] +
+    v[k] are added. Unlike a plain states @ C', the batched product rounds
+    as a per-step C @ x[k] does, so the outputs keep their bits.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -196,23 +211,25 @@ def simulate(model: StateSpaceModel, inputs, rng: np.random.Generator,
     v_half = psd_sqrt(model.r_v)
     w = rng.standard_normal((t_total, model.n_x)) @ w_half.T
     v = rng.standard_normal((t_total, model.n_o)) @ v_half.T
-    a, c = model.a, model.c
+    a = model.a
     bu = u @ model.b.T
     du = u @ model.d.T
     x = np.zeros(model.n_x)
     for t in range(burn_in):
         x = a @ x + bu[t] + w[t]
-    y = np.empty((t_total - burn_in, model.n_o))
-    for t in range(burn_in, t_total):
-        y[t - burn_in] = c @ x + du[t] + v[t]
+    states = np.empty((t_total - burn_in, model.n_x))
+    for t in range(burn_in, t_total - 1):
+        states[t - burn_in] = x
         x = a @ x + bu[t] + w[t]
-    return y
+    states[-1] = x
+    cx = np.matmul(states[:, None, :], model.c.T)[:, 0, :]
+    return cx + du[burn_in:] + v[burn_in:]
 
 
-def _block_toeplitz(blocks: list[np.ndarray], f: int) -> np.ndarray:
+def _block_toeplitz(blocks: np.ndarray, f: int) -> np.ndarray:
     """Lower block-triangular Toeplitz with blocks[m] on block subdiagonal m."""
-    r, c = blocks[0].shape
-    padded = np.concatenate([np.zeros((1, r, c)), np.asarray(blocks)])
+    r, c = blocks.shape[1:]
+    padded = np.concatenate([np.zeros((1, r, c)), blocks])
     lag = np.arange(f)[:, None] - np.arange(f)[None, :]
     # entry 0 of padded is the zero block above the diagonal
     tiles = padded[np.where(lag >= 0, lag + 1, 0)]
@@ -228,7 +245,7 @@ def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposit
     """
     if f < 1 or p < 1:
         raise ValueError("horizons must be positive")
-    n_x = model.n_x
+    n_x, n_o = model.n_x, model.n_o
     if f <= n_x or p <= n_x:
         warnings.warn("horizons not larger than the state order; the extended "
                       "model truncation error may dominate", stacklevel=2)
@@ -238,11 +255,10 @@ def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposit
     b_k2 = k.copy()
 
     # observability blocks C A^r
-    obs = np.empty((f * model.n_o, n_x))
-    cur = c.copy()
-    for r in range(f):
-        obs[r * model.n_o:(r + 1) * model.n_o] = cur
-        cur = cur @ a
+    obs = np.empty((f * n_o, n_x))
+    obs[:n_o] = c
+    for r in range(1, f):
+        obs[r * n_o:(r + 1) * n_o] = obs[(r - 1) * n_o:r * n_o] @ a
 
     # predictor reachability: [A_K^(p-1) B, ..., A_K B, B]
     def reach(bmat: np.ndarray) -> np.ndarray:
@@ -255,14 +271,10 @@ def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposit
 
     l_p = np.hstack([reach(b_k1), reach(b_k2)])
 
-    # Markov parameter Toeplitz blocks
-    h_blocks = [d.copy()]
-    g_blocks = [np.eye(model.n_o)]
-    cur = c.copy()
-    for _ in range(f - 1):
-        h_blocks.append(cur @ b)
-        g_blocks.append(cur @ k)
-        cur = cur @ a
+    # Markov parameter Toeplitz blocks {D, CB, CAB, ...} and {I, CK, CAK, ...}
+    # from the observability rows C A^r, r < f - 1
+    h_blocks = np.concatenate([d[None], (obs[:-n_o] @ b).reshape(f - 1, n_o, model.n_i)])
+    g_blocks = np.concatenate([np.eye(n_o)[None], (obs[:-n_o] @ k).reshape(f - 1, n_o, n_o)])
     h_f = _block_toeplitz(h_blocks, f)
     g_f = _block_toeplitz(g_blocks, f) @ np.kron(np.eye(f), psd_sqrt(model.sigma))
 

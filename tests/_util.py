@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 
 from sidshrink.estimation import assemble
+from sidshrink.linalg import psd_sqrt
 from sidshrink.systems import StateSpaceModel, kalman_gain, simulate
 
 
@@ -37,6 +38,24 @@ def sim_dataset(model, n_cols, f, p, rng, burn_in=0, u_std=1.0):
     u = rng.standard_normal(t) * u_std
     y = simulate(model, u, rng, burn_in=burn_in)
     return u[burn_in:], y, assemble(u[burn_in:], y, f, p)
+
+
+def simulate_per_step(model, inputs, rng, burn_in):
+    """Reference: the per-step loop that forms every output, burn-in
+    included, from C x + D u + v and then advances the state."""
+    u = np.asarray(inputs, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    t_total = u.shape[0]
+    w = rng.standard_normal((t_total, model.n_x)) @ psd_sqrt(model.r_w).T
+    v = rng.standard_normal((t_total, model.n_o)) @ psd_sqrt(model.r_v).T
+    x = np.zeros(model.n_x)
+    y = np.empty((t_total, model.n_o))
+    a, b, c, d = model.a, model.b, model.c, model.d
+    for t in range(t_total):
+        y[t] = c @ x + d @ u[t] + v[t]
+        x = a @ x + b @ u[t] + w[t]
+    return y[burn_in:]
 
 
 def quiet_decomposition(model, f, p):

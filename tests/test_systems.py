@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _util import quiet_decomposition, shift_model, sim_dataset, siso_model
-from sidshrink.linalg import psd_sqrt
+from _util import quiet_decomposition, shift_model, sim_dataset, simulate_per_step, siso_model
 from sidshrink.systems import (
     SystemSpec,
     default_burn_in,
@@ -115,24 +114,6 @@ def test_simulate_variance_matches_lyapunov():
     assert np.var(y) == pytest.approx(var_true, rel=0.05)
 
 
-def _simulate_per_step(model, inputs, rng, burn_in):
-    """Reference: the per-step loop that forms every output, burn-in
-    included, from C x + D u + v and then advances the state."""
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    t_total = u.shape[0]
-    w = rng.standard_normal((t_total, model.n_x)) @ psd_sqrt(model.r_w).T
-    v = rng.standard_normal((t_total, model.n_o)) @ psd_sqrt(model.r_v).T
-    x = np.zeros(model.n_x)
-    y = np.empty((t_total, model.n_o))
-    a, b, c, d = model.a, model.b, model.c, model.d
-    for t in range(t_total):
-        y[t] = c @ x + d @ u[t] + v[t]
-        x = a @ x + b @ u[t] + w[t]
-    return y[burn_in:]
-
-
 def test_simulate_protocol_systems_match_per_step_loop_exactly():
     # the benchmark's risks and orders depend on these outputs bit for bit
     for seed in range(20):
@@ -142,7 +123,7 @@ def test_simulate_protocol_systems_match_per_step_loop_exactly():
         assert burn > 0 and not model.d.any()
         u = rng.normal(0.0, math.sqrt(snr), size=(burn + n_samples + 2 * horizon, 1))
         y = simulate(model, u, np.random.default_rng(100 + seed), burn_in=burn)
-        ref = _simulate_per_step(model, u, np.random.default_rng(100 + seed), burn)
+        ref = simulate_per_step(model, u, np.random.default_rng(100 + seed), burn)
         assert np.array_equal(y, ref)
 
 
@@ -155,7 +136,7 @@ def test_simulate_mimo_with_feedthrough_matches_per_step_loop():
         model = dataclasses.replace(model, d=rng.standard_normal((2, 2)))
         u = rng.standard_normal((150, 2))
         y = simulate(model, u, np.random.default_rng(seed), burn_in=25)
-        ref = _simulate_per_step(model, u, np.random.default_rng(seed), 25)
+        ref = simulate_per_step(model, u, np.random.default_rng(seed), 25)
         assert y.shape == ref.shape == (125, 2)
         np.testing.assert_allclose(y, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
