@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericalError
-from .estimation import RCOND, HankelData
+from .estimation import HankelData
 from .linalg import SelectorPair, build_selectors, psd_sqrt, toeplitz_from_col, toeplitz_project
 
 __all__ = [
@@ -103,7 +103,7 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     s_r = np.maximum(s[:rank], max(s[0], np.finfo(float).tiny) * 1e-12)
     root = np.sqrt(s_r)
-    z_pinv = np.linalg.pinv(data.z_p, rcond=RCOND)
+    z_pinv = data.z_pinv
     gamma = u[:, :rank] * root
     l_p = (root[:, None] * vt[:rank]) @ z_pinv
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
@@ -135,9 +135,12 @@ def _gamma_hf_parts(state: GibbsState):
     the Gram blocks.
     """
     gamma_scalar = 1.0 / (state.g_f[0, 0] ** 2)
-    lzu = gamma_scalar * (state.l_p @ state.zu)
-    gram = np.block([[state.lambda_gamma + gamma_scalar * (state.l_p @ state.zz @ state.l_p.T),
-                      lzu], [lzu.T, state.lambda_h + gamma_scalar * state.uu]])
+    r = state.l_p.shape[0]
+    gram = np.empty((r + state.uu.shape[0],) * 2)
+    gram[:r, :r] = state.lambda_gamma + gamma_scalar * (state.l_p @ state.zz @ state.l_p.T)
+    gram[:r, r:] = gamma_scalar * (state.l_p @ state.zu)
+    gram[r:, :r] = gram[:r, r:].T
+    gram[r:, r:] = state.lambda_h + gamma_scalar * state.uu
     gram = (gram + gram.T) / 2.0
     y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
     mean = gamma_scalar * np.linalg.solve(gram, y_reg.T).T
@@ -145,16 +148,15 @@ def _gamma_hf_parts(state: GibbsState):
 
 
 def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
-    """Conditional mean and draw of (gamma_f, h_f), each returned as a
-    (gamma_f, h_f) pair with the h_f part projected back onto
-    lower-triangular Toeplitz matrices."""
+    """Conditional mean of gamma_f and the draw of (gamma_f, h_f), with the
+    h_f draw projected back onto lower-triangular Toeplitz matrices. The
+    chain never reads the mean of h_f; _gamma_hf_parts holds it."""
     mean, gram = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
     draw = mean + g_bar @ xi @ psd_sqrt(gram, inverse=True)
     r = state.l_p.shape[0]
-    return ((mean[:, :r], toeplitz_project(mean[:, r:])),
-            (draw[:, :r], toeplitz_project(draw[:, r:])))
+    return mean[:, :r], (draw[:, :r], toeplitz_project(draw[:, r:]))
 
 
 def step_lp(state: GibbsState, rng: np.random.Generator):
@@ -276,8 +278,13 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         # burn-in of zero keeps the deterministic first iterate as well
         accum += state.gamma_f @ state.l_p
     diagnostics = [float(np.linalg.norm(state.gamma_f @ state.l_p))]
+    # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
+    # identity block is filled once, the others each iteration
+    q = data.f + data.z_p.shape[0]
+    resid_coef = np.zeros((data.f, state.stacked.shape[0]))
+    resid_coef[:, :data.f] = np.eye(data.f)
     for n in range(2, config.n_total + 1):
-        (gamma_mean, _), (gamma_draw, h_draw) = step_gamma_hf(state, rng)
+        gamma_mean, (gamma_draw, h_draw) = step_gamma_hf(state, rng)
         # each draw is checked before the next conditional consumes it, so a
         # blown-up iterate is reported here instead of deep inside a solver
         if not (np.isfinite(gamma_draw).all() and np.isfinite(h_draw).all()):
@@ -289,17 +296,18 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
             raise NumericalError(f"chain diverged at iteration {n}")
         state.l_p = l_draw
 
-        # Y_f - Gamma L_p Z_p - H_f U_f in one product
-        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ state.stacked
-        step_gf(state, resid, rng, config.gf_variant)
+        product = gamma_draw @ l_draw
+        np.negative(product, out=resid_coef[:, data.f:q])
+        np.negative(h_draw, out=resid_coef[:, q:])
+        step_gf(state, resid_coef @ state.stacked, rng, config.gf_variant)
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")
-        diagnostics.append(float(np.linalg.norm(gamma_draw @ l_draw)))
+        diagnostics.append(float(np.linalg.norm(product)))
         if n > config.n_burn:
             if config.rao_blackwell:
                 accum += (gamma_mean @ l_prev + gamma_draw @ l_mean) / 2.0
             else:
-                accum += gamma_draw @ l_draw
+                accum += product
     estimate = accum / (config.n_total - config.n_burn)
     return GibbsEstimate(h_fp_bayes=estimate, chain_diagnostics=np.asarray(diagnostics))

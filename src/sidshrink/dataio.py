@@ -59,8 +59,7 @@ def _read_lines(path):
     meta = {}
     body = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+        for line_no, line in enumerate(fh.read().split("\n"), start=1):
             if line.startswith("#"):
                 text = line[1:].strip()
                 if text.startswith("config:"):
@@ -76,6 +75,36 @@ def _read_lines(path):
     return meta, body
 
 
+def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
+    """The (line_no, text) rows as a len(rows) x n_cols float array.
+
+    Every value goes through one vectorised conversion with float()
+    semantics. Only when a row has the wrong number of values or a value
+    does not convert are the rows scanned one by one, to name the first
+    bad line.
+    """
+    texts = [line for _, line in rows]
+    if all(line.count(",") == n_cols - 1 for line in texts):
+        try:
+            return np.array(",".join(texts).split(","), dtype=float).reshape(-1, n_cols)
+        except ValueError:
+            pass    # the scan below names the line
+    for line_no, line in rows:
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise DataError(f"{path}:{line_no}: expected {n_cols} values, got {len(parts)}")
+        try:
+            [float(v) for v in parts]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+    raise DataError(f"{path}: values do not convert to floats")
+
+
+def _write_rows(fh, m: np.ndarray) -> None:
+    """One line per row of m, each value written with repr()."""
+    fh.write("".join(",".join(map(repr, row)) + "\n" for row in m.tolist()))
+
+
 def write_timeseries(path, u: np.ndarray, y: np.ndarray, config: dict | None = None) -> None:
     u = np.atleast_2d(np.asarray(u, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -87,8 +116,7 @@ def write_timeseries(path, u: np.ndarray, y: np.ndarray, config: dict | None = N
         for line in _header_lines(config):
             fh.write(line + "\n")
         fh.write(",".join(cols) + "\n")
-        for row in np.hstack([u, y]):
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        _write_rows(fh, np.hstack([u, y]))
 
 
 def read_timeseries(path) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -105,19 +133,9 @@ def read_timeseries(path) -> tuple[np.ndarray, np.ndarray, dict]:
         raise DataError(
             f"{path}:{header_no}: expected column header u_1..u_{max(n_u, 1)},"
             f"y_1..y_{max(n_y, 1)}, got {header!r}")
-    rows = []
-    for line_no, line in body[1:]:
-        parts = line.split(",")
-        if len(parts) != n_u + n_y:
-            raise DataError(
-                f"{path}:{line_no}: expected {n_u + n_y} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
+    if len(body) == 1:
         raise DataError(f"{path}: no data rows")
-    table = np.asarray(rows)
+    table = _parse_rows(path, body[1:], n_u + n_y)
     return table[:, :n_u], table[:, n_u:], meta
 
 
@@ -132,8 +150,7 @@ def write_matrices(path, matrices: dict, config: dict | None = None) -> None:
         for name, value in matrices.items():
             m = np.atleast_2d(np.asarray(value, dtype=float))
             fh.write(f"matrix,{name},{m.shape[0]},{m.shape[1]}\n")
-            for row in m:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+            _write_rows(fh, m)
 
 
 def read_matrices(path) -> tuple[dict, dict]:
@@ -154,18 +171,7 @@ def read_matrices(path) -> tuple[dict, dict]:
             raise DataError(f"{path}:{line_no}: bad shape {rows}x{cols}")
         if idx + rows >= len(body):
             raise DataError(f"{path}:{line_no}: section {name!r} truncated")
-        block = []
-        for r in range(rows):
-            row_no, row_line = body[idx + 1 + r]
-            vals = row_line.split(",")
-            if len(vals) != cols:
-                raise DataError(
-                    f"{path}:{row_no}: expected {cols} values, got {len(vals)}")
-            try:
-                block.append([float(v) for v in vals])
-            except ValueError as exc:
-                raise DataError(f"{path}:{row_no}: {exc}") from exc
-        matrices[name] = np.asarray(block)
+        matrices[name] = _parse_rows(path, body[idx + 1: idx + 1 + rows], cols)
         idx += 1 + rows
     return matrices, meta
 

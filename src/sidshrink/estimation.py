@@ -14,6 +14,7 @@ time step, header row with columns u_1..u_{n_i}, y_1..y_{n_o}. See dataio.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -66,6 +67,14 @@ class HankelData:
     n_cols: int
     n_i: int
     n_o: int
+
+    @functools.cached_property
+    def z_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of z_p, formed on first read and shared read-only
+        by the n4sid weights and the Gibbs chain."""
+        out = np.linalg.pinv(self.z_p, rcond=RCOND)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -227,13 +236,15 @@ def _zpz_perp(data: HankelData) -> np.ndarray:
 
 
 def _max_eig_congruence(zpz: np.ndarray, w2: np.ndarray) -> float | None:
-    """lambda_max(w2' zpz^-1 w2) via the small-side Gram form."""
+    """lambda_max(w2' zpz^-1 w2) as the top eigenvalue of L^-1 (w2 w2') L^-T,
+    zpz = L L': the solves run on the square Gram w2 w2', never on the
+    columns of a wide w2."""
     try:
         chol = np.linalg.cholesky(zpz)
     except np.linalg.LinAlgError:
         return None
-    x = scipy.linalg.solve_triangular(chol, w2, lower=True)
-    gram = x @ x.T
+    x = scipy.linalg.solve_triangular(chol, w2 @ w2.T, lower=True)
+    gram = scipy.linalg.solve_triangular(chol, x.T, lower=True)
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
@@ -243,7 +254,7 @@ def build_weights(scheme: str, data: HankelData,
 
     identity: w1 = I, w2 = I.
     cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2).
-    n4sid:    w1 = I, w2 = Z_p (shared by reference, not copied).
+    n4sid:    w1 = I, w2 = Z_p, w2_pinv = data.z_pinv (both shared, not copied).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -272,7 +283,7 @@ def build_weights(scheme: str, data: HankelData,
         w1 = eye_rows
         w1_inv = eye_rows
         w2 = data.z_p
-        w2_pinv = np.linalg.pinv(data.z_p, rcond=RCOND)
+        w2_pinv = data.z_pinv
     return WeightPair(
         scheme=scheme, w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
         factor1=_max_eig_congruence(zpz, w2),

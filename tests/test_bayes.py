@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from _util import mann_kendall_z, quiet_decomposition, shift_model, sim_dataset, siso_model
+from sidshrink import bayes
 from sidshrink.bayes import (
     GibbsConfig,
     _gamma_hf_parts,
@@ -18,7 +19,7 @@ from sidshrink.bayes import (
 )
 from sidshrink.errors import ConfigError, NumericalError
 from sidshrink.estimation import HankelData, assemble, ls_estimate
-from sidshrink.linalg import build_selectors, psd_sqrt, toeplitz_from_col, vec
+from sidshrink.linalg import build_selectors, psd_sqrt, toeplitz_from_col, toeplitz_project, vec
 
 
 def _dataset(seed=0, f=3, p=3, n_cols=40):
@@ -130,22 +131,22 @@ def test_gamma_hf_ridge_to_ls_limit():
     state.lambda_gamma = np.eye(2) * 1e-12
     state.lambda_h = np.eye(3) * 1e-12
     state.g_f = np.eye(3)
-    (gamma_det, h_det), _ = step_gamma_hf(state, np.random.default_rng(0))
+    mean, _ = _gamma_hf_parts(state)
     reg = np.vstack([state.l_p @ data.z_p, data.u_f])
     coeff, *_ = np.linalg.lstsq(reg.T, data.y_f.T, rcond=None)
     coeff = coeff.T
-    from sidshrink.linalg import toeplitz_project
-    assert np.allclose(gamma_det, coeff[:, :2], atol=1e-6)
-    assert np.allclose(h_det, toeplitz_project(coeff[:, 2:]), atol=1e-6)
+    assert np.allclose(mean[:, :2], coeff[:, :2], atol=1e-6)
+    assert np.allclose(toeplitz_project(mean[:, 2:]), toeplitz_project(coeff[:, 2:]), atol=1e-6)
+    assert np.array_equal(step_gamma_hf(state, np.random.default_rng(0))[0], mean[:, :2])
 
 
 def test_gamma_hf_strong_prior_shrinks_to_zero():
     data, ls, state = _state(rank=2)
     state.lambda_gamma = np.eye(2) * 1e12
     state.lambda_h = np.eye(3) * 1e12
-    (gamma_det, h_det), _ = step_gamma_hf(state, np.random.default_rng(0))
-    assert np.abs(gamma_det).max() < 1e-6
-    assert np.abs(h_det).max() < 1e-6
+    mean, _ = _gamma_hf_parts(state)
+    assert np.abs(mean[:, :2]).max() < 1e-6
+    assert np.abs(toeplitz_project(mean[:, 2:])).max() < 1e-6
 
 
 def test_lp_gls_collapse():
@@ -482,3 +483,69 @@ def test_run_gibbs_matches_the_chain_on_data(variant, rao_blackwell, rank):
     ref, ref_diag = _chain_on_data(data, ls, cfg, np.random.default_rng(12))
     assert np.abs(est.h_fp_bayes - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.allclose(est.chain_diagnostics, ref_diag, rtol=1e-12, atol=0.0)
+
+
+# --------------------------------------- chain that rebuilds every iteration
+
+def _step_gamma_hf_rebuilding(state, rng):
+    """The [Gamma_f H_f] step with its precision put together by np.block
+    and both the mean and the draw of H_f projected."""
+    gs = 1.0 / (state.g_f[0, 0] ** 2)
+    lzu = gs * (state.l_p @ state.zu)
+    gram = np.block([[state.lambda_gamma + gs * (state.l_p @ state.zz @ state.l_p.T), lzu],
+                     [lzu.T, state.lambda_h + gs * state.uu]])
+    gram = (gram + gram.T) / 2.0
+    y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
+    mean = gs * np.linalg.solve(gram, y_reg.T).T
+    xi = rng.standard_normal(mean.shape)
+    draw = mean + (state.g_f / state.g_f[0, 0]) @ xi @ psd_sqrt(gram, inverse=True)
+    r = state.l_p.shape[0]
+    return ((mean[:, :r], toeplitz_project(mean[:, r:])),
+            (draw[:, :r], toeplitz_project(draw[:, r:])))
+
+
+def _run_gibbs_rebuilding(data, ls, config, rng):
+    """run_gibbs with everything formed afresh in each iteration: the
+    precision, the projected H_f mean and [I, -Gamma L_p, -H_f]."""
+    state = init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, config.rank)
+    accum = np.zeros_like(ls.h_fp_hat)
+    if config.n_burn == 0:
+        accum += state.gamma_f @ state.l_p
+    diagnostics = [float(np.linalg.norm(state.gamma_f @ state.l_p))]
+    for n in range(2, config.n_total + 1):
+        (gamma_mean, _), (gamma_draw, h_draw) = _step_gamma_hf_rebuilding(state, rng)
+        l_prev, state.gamma_f, state.h_f = state.l_p, gamma_draw, h_draw
+        l_mean, l_draw = step_lp(state, rng)
+        state.l_p = l_draw
+        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ state.stacked
+        step_gf(state, resid, rng, config.gf_variant)
+        diagnostics.append(float(np.linalg.norm(gamma_draw @ l_draw)))
+        if n > config.n_burn:
+            if config.rao_blackwell:
+                accum += (gamma_mean @ l_prev + gamma_draw @ l_mean) / 2.0
+            else:
+                accum += gamma_draw @ l_draw
+    return accum / (config.n_total - config.n_burn), np.asarray(diagnostics)
+
+
+@pytest.mark.parametrize("size", ["small", "long"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("rao_blackwell", [True, False])
+@pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
+def test_run_gibbs_equals_the_rebuilding_chain_bit_for_bit(variant, rao_blackwell, rank, size,
+                                                           monkeypatch):
+    if size == "small":
+        data, ls, _ = _state(seed=3, rank=rank, f=4, p=4, n_cols=60)
+        cfg = GibbsConfig(rank=rank, n_total=40, n_burn=5, gf_variant=variant,
+                          rao_blackwell=rao_blackwell)
+    else:
+        # the size of a 2000-sample record at f = p = 20; the chain never
+        # reads the 621 MB of selectors init_gibbs would build for it
+        monkeypatch.setattr(bayes, "build_selectors", lambda i, n: None)
+        data, ls, _ = _state(seed=4, rank=rank, f=20, p=20, n_cols=1961)
+        cfg = GibbsConfig(rank=rank, n_total=6, n_burn=1, gf_variant=variant,
+                          rao_blackwell=rao_blackwell)
+    est = run_gibbs(data, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(12))
+    ref, ref_diag = _run_gibbs_rebuilding(data, ls, cfg, np.random.default_rng(12))
+    assert np.array_equal(est.h_fp_bayes, ref)
+    assert np.array_equal(est.chain_diagnostics, ref_diag)

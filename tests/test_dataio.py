@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sidshrink.dataio import (
+    _header_lines,
     format_float,
     read_matrices,
     read_timeseries,
@@ -131,3 +132,158 @@ def test_summary_json_roundtrip(tmp_path):
     # non-finite floats are mapped to null for strict JSON
     assert loaded["methods"]["soft"]["se_mult"] is None
     assert loaded["methods"]["soft"]["normalized_risk"] == 0.5
+
+
+# ------------------------------------------- the per-line reader and writer
+
+def _read_lines_per_line(path):
+    meta, body = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                text = line[1:].strip()
+                if text.startswith("config:"):
+                    meta = json.loads(text[len("config:"):].strip())
+                continue
+            if line.strip():
+                body.append((line_no, line))
+    return meta, body
+
+
+def _read_timeseries_per_line(path):
+    """read_timeseries converting one value at a time, with its errors."""
+    meta, body = _read_lines_per_line(path)
+    if not body:
+        raise DataError(f"{path}: empty data file")
+    header_no, header = body[0]
+    names = [c.strip() for c in header.split(",")]
+    n_u = sum(1 for c in names if c.startswith("u_"))
+    n_y = sum(1 for c in names if c.startswith("y_"))
+    rows = []
+    for line_no, line in body[1:]:
+        parts = line.split(",")
+        if len(parts) != n_u + n_y:
+            raise DataError(
+                f"{path}:{line_no}: expected {n_u + n_y} values, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    table = np.asarray(rows)
+    return table[:, :n_u], table[:, n_u:], meta
+
+
+def _write_rows_per_element(fh, m):
+    for row in m:
+        fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def _write_timeseries_per_element(path, u, y, config=None):
+    u, y = np.atleast_2d(u), np.atleast_2d(y)
+    cols = [f"u_{k + 1}" for k in range(u.shape[1])] + [f"y_{k + 1}" for k in range(y.shape[1])]
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in _header_lines(config):
+            fh.write(line + "\n")
+        fh.write(",".join(cols) + "\n")
+        _write_rows_per_element(fh, np.hstack([u, y]))
+
+
+def _write_matrices_per_element(path, matrices, config=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in _header_lines(config):
+            fh.write(line + "\n")
+        for name, value in matrices.items():
+            m = np.atleast_2d(np.asarray(value, dtype=float))
+            fh.write(f"matrix,{name},{m.shape[0]},{m.shape[1]}\n")
+            _write_rows_per_element(fh, m)
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal IEEE bit patterns (tells -0.0 from 0.0 and
+    compares nan payloads)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _record(tmp_path):
+    """A 2000-sample SISO record with an f/p/nx header, as the benchmark's
+    identify records are written."""
+    rng = np.random.default_rng(7)
+    path = tmp_path / "record.csv"
+    write_timeseries(path, rng.normal(0.0, 1.3, (2000, 1)), rng.standard_normal((2000, 1)),
+                     config={"f": 20, "p": 20, "nx": 3})
+    return path
+
+
+HAND_WRITTEN = (
+    "# sidshrink 0.1.0\r\n"
+    "# config: {\"f\": 2}\r\n"
+    "u_1,u_2,y_1\r\n"
+    "1e-3,-2.5E+7,+4\r\n"
+    "\r\n"
+    "-0.0,0.0,1_000\r\n"
+    "# a comment inside the body\r\n"
+    "inf,-inf,nan\r\n"
+    "   \r\n"
+    " 7 ,\t8.25\t,-nan\r\n"
+    "Infinity,1_0.5,4.9e-324\r\n"
+    "1e400,-1e-400,123456789.123456789"
+)
+
+
+def test_reader_equals_the_per_line_parser(tmp_path):
+    hand = tmp_path / "hand.csv"
+    hand.write_bytes(HAND_WRITTEN.encode("utf-8"))
+    for path in (_record(tmp_path), hand):
+        u, y, meta = read_timeseries(path)
+        u_ref, y_ref, meta_ref = _read_timeseries_per_line(path)
+        assert _same_bits(u, u_ref) and _same_bits(y, y_ref)
+        assert meta == meta_ref
+    assert u.shape == (6, 2) and np.signbit(u[1, 0]) and np.isnan(y[2, 0])
+
+
+@pytest.mark.parametrize("body, line", [
+    ("u_1,y_1\n1.0,2.0\n\n1.0,x\n3.0,4.0\n", 4),          # bad value
+    ("u_1,y_1\n1.0,2.0\n# note\n3.0\n3.0,4.0\n", 4),      # short row
+    ("u_1,y_1\n1.0,2.0\n3.0,4.0,5.0\n", 3),               # long row
+    ("u_1,y_1\r\n1.0,2.0\r\n1.0,0x10\r\n", 3),            # hex is not float()
+    ("u_1,y_1\n1.0,2.0\n1.0,\n", 3),                      # empty value
+    ("u_1,y_1\n1.0,2.0,\n1.0\n", 2),                      # the first bad row wins
+])
+def test_reader_errors_equal_the_per_line_parser(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body.encode("utf-8"))
+    with pytest.raises(DataError) as ref:
+        _read_timeseries_per_line(path)
+    with pytest.raises(DataError) as new:
+        read_timeseries(path)
+    assert str(new.value) == str(ref.value)
+    assert str(new.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("text", ["u_1,y_1\n", "u_1,y_1\n\n# only comments\n", "", "# x\n\n"])
+def test_reader_empty_body_errors_equal_the_per_line_parser(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as ref:
+        _read_timeseries_per_line(path)
+    with pytest.raises(DataError) as new:
+        read_timeseries(path)
+    assert str(new.value) == str(ref.value)
+
+
+def test_writers_equal_the_per_element_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((2000, 1))
+    y = np.vstack([rng.standard_normal((1995, 1)), [[-0.0], [np.inf], [-np.inf], [np.nan], [1e-310]]])
+    config = {"f": 20, "p": 20, "nx": 3}
+    write_timeseries(tmp_path / "new.csv", u, y, config=config)
+    _write_timeseries_per_element(tmp_path / "ref.csv", u, y, config=config)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    mats = {"h": rng.standard_normal((20, 40)), "row": y[-6:].T, "scalar": 4.25,
+            "int": np.arange(3).reshape(1, 3), "neg_zero": -0.0}
+    write_matrices(tmp_path / "new_m.csv", mats, config={"command": "identify"})
+    _write_matrices_per_element(tmp_path / "ref_m.csv", mats, config={"command": "identify"})
+    assert (tmp_path / "new_m.csv").read_bytes() == (tmp_path / "ref_m.csv").read_bytes()

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _util import projection_gap, quiet_decomposition, shift_model, sim_dataset, siso_model
+from sidshrink.bayes import init_gibbs
+from sidshrink.bench import draw_realization
 from sidshrink.errors import DataError, NumericalError
 from sidshrink.estimation import (
+    RCOND,
     HankelData,
+    _max_eig_congruence,
+    _zpz_perp,
     assemble,
     build_weights,
     estimate_noise,
@@ -231,6 +237,52 @@ def test_n4sid_weights_and_roundtrip():
     # z_p has full row rank, so unapply(apply(.)) is exact
     m = np.random.default_rng(1).standard_normal((4, 8))
     assert np.allclose(w.unapply(w.apply(m)), m, atol=1e-8)
+
+
+def _max_eig_congruence_wide(zpz, w2):
+    """lambda_max(w2' zpz^-1 w2) from the solve against all of w2's columns."""
+    x = scipy.linalg.solve_triangular(np.linalg.cholesky(zpz), w2, lower=True)
+    gram = x @ x.T
+    return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
+
+
+def test_small_side_lambda_max_equals_the_wide_form():
+    checked = 0
+    for run_id in range(12):
+        draw = draw_realization(0, run_id, 0)
+        data = assemble(draw.u, draw.y, draw.f, draw.p)
+        ls = ls_estimate(data)
+        noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
+        zpz = _zpz_perp(data)
+        for scheme in ("identity", "cva", "n4sid"):
+            w = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
+            ref = _max_eig_congruence_wide(zpz, w.w2)
+            assert w.factor1 == pytest.approx(ref, rel=1e-12, abs=0.0)
+            checked += 1
+    assert checked == 36
+
+
+def test_lambda_max_is_none_when_zpz_is_singular():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 50))
+    z = np.vstack([z, z[:1]])           # a repeated row: Z Z' is singular
+    zpz = z @ z.T
+    assert _max_eig_congruence(zpz, np.eye(4)) is None
+    assert _max_eig_congruence(zpz, z) is None
+    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
+                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    assert build_weights("identity", data).factor1 is None
+
+
+def test_z_pinv_is_formed_once_and_shared():
+    data = _random_dataset(6, f=4, p=4, n_cols=100)
+    pinv = data.z_pinv
+    ref = np.linalg.pinv(data.z_p, rcond=RCOND)
+    assert np.array_equal(pinv.view(np.uint64), ref.view(np.uint64))
+    assert data.z_pinv is pinv and not pinv.flags.writeable
+    assert build_weights("n4sid", data).w2_pinv is pinv
+    ls = ls_estimate(data)
+    assert init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 1).z_pinv is pinv
 
 
 def test_unknown_scheme_rejected():

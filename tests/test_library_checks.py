@@ -1,11 +1,18 @@
 """Library code reports bad input and broken invariants with the typed errors
 of sidshrink.errors: an assert statement is stripped under `python -O`. Every
-name that the package or one of its modules exports resolves."""
+name that the package or one of its modules exports resolves. The Gibbs chain
+calls its steps through the names the benchmark's tracer wraps."""
 import ast
+import collections
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sidshrink
+from sidshrink import bayes
+from sidshrink.estimation import assemble, ls_estimate
 
 
 def test_library_has_no_assert_statements():
@@ -27,3 +34,30 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
+def test_chain_calls_its_steps_through_the_bayes_module_names(variant, monkeypatch):
+    """The benchmark's tracer counts the chain's calls by wrapping these
+    module globals of sidshrink.bayes; a chain that reached the functions
+    another way would drop out of its trace."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("step_gf", "psd_sqrt", "toeplitz_project"):
+        monkeypatch.setattr(bayes, name, counting(name, getattr(bayes, name)))
+    rng = np.random.default_rng(0)
+    t = 60
+    u = rng.standard_normal(t)
+    y = np.convolve(u, [0.0, 1.0, 0.5])[:t] + 0.3 * rng.standard_normal(t)
+    data = assemble(u, y, 4, 4)
+    ls = ls_estimate(data)
+    n = 7
+    bayes.run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
+                    bayes.GibbsConfig(rank=1, n_total=n, n_burn=1, gf_variant=variant), rng)
+    assert counts == {"step_gf": n - 1, "psd_sqrt": 2 * (n - 1), "toeplitz_project": n}
