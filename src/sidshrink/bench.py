@@ -181,10 +181,11 @@ def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
     The chain runs at rank r* and is the only reader of rng."""
     ls = ls_estimate(data)
     noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-    weights = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
+    weights = build_weights(scheme, data,
+                            g_f_hat=noise.g_f_hat if scheme == "cva" else None)
     svd = weighted_svd(ls.h_fp_hat, weights)
     rank = rank_star(data, ls, weights, svd)
-    ctx = make_context(svd.m.shape, rank.sigma_level)
+    ctx = make_context(svd.shape, rank.sigma_level)
     estimates, orders = {}, {}
     for method in methods:
         if method in ("heuristic_neff", "heuristic_midpoint"):

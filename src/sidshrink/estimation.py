@@ -71,7 +71,7 @@ class HankelData:
     @functools.cached_property
     def z_pinv(self) -> np.ndarray:
         """Pseudo-inverse of z_p, formed on first read and shared read-only
-        by the n4sid weights and the Gibbs chain."""
+        by the Gibbs chain's steps; the weights never read it."""
         out = np.linalg.pinv(self.z_p, rcond=RCOND)
         out.setflags(write=False)
         return out
@@ -100,6 +100,11 @@ class NoiseEstimate:
 class WeightPair:
     """Row/column weights (w1, w2) for one scheme, with cached inverses.
 
+    n_cols is the column count of the weighted estimate in the noise model:
+    w2's own for identity and cva, N under n4sid, whose square w2 stands in
+    for the 2p x N matrix Z_p with the same Frobenius norm of h w2 for
+    every h.
+
     factor1 caches lambda_max(w2' (Z_p Pi Z_p')^-1 w2), Pi the orthogonal
     projector onto the complement of the future-input row space, for the
     noise-level computation; it is None when Z_p Pi Z_p' is singular.
@@ -110,6 +115,7 @@ class WeightPair:
     w2: np.ndarray
     w1_inv: np.ndarray
     w2_pinv: np.ndarray
+    n_cols: int
     factor1: float | None = field(default=None, compare=False)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
@@ -254,7 +260,10 @@ def build_weights(scheme: str, data: HankelData,
 
     identity: w1 = I, w2 = I.
     cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2).
-    n4sid:    w1 = I, w2 = Z_p, w2_pinv = data.z_pinv (both shared, not copied).
+    n4sid:    w1 = I, w2 = R' with R the triangular factor of a thin QR of
+              Z_p', so that R'R = Z_p Z_p' and ||h R'|| = ||h Z_p|| for every
+              h; w2_pinv is its triangular inverse. A (near) rank-deficient
+              Z_p raises NumericalError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -282,10 +291,15 @@ def build_weights(scheme: str, data: HankelData,
     else:  # n4sid
         w1 = eye_rows
         w1_inv = eye_rows
-        w2 = data.z_p
-        w2_pinv = data.z_pinv
+        r = np.linalg.qr(data.z_p.T, mode="r")
+        diag = np.abs(np.diag(r))
+        if diag.min() <= RCOND * diag.max():
+            raise NumericalError("n4sid scheme: Z_p is rank deficient")
+        w2 = r.T
+        w2_pinv = scipy.linalg.solve_triangular(r, np.eye(n_past), lower=False).T
     return WeightPair(
         scheme=scheme, w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
+        n_cols=data.n_cols if scheme == "n4sid" else n_past,
         factor1=_max_eig_congruence(zpz, w2),
     )
 
@@ -310,9 +324,17 @@ def noise_level(weights: WeightPair, g_hat_sq: np.ndarray) -> float:
 class WeightedSvd:
     """The weighted LS estimate m = w1 H w2 and its factorisations, formed
     once per identification and read by r*, the order rules and the
-    shrinkers."""
+    shrinkers.
+
+    shape is the estimate's shape in the noise model, (rows, weights.n_cols),
+    which sets every threshold; it is m.shape except under n4sid. There the
+    factorisations are zero-padded to min(shape) values when m has fewer
+    columns than rows: the wide W1 H Z_p has rank at most the row count of
+    Z_p, and its further values are rounding noise.
+    """
 
     m: np.ndarray
+    shape: tuple[int, int]
     # The order rules and r*'s count read these values-only singular values,
     # not `s`: the two differ by up to 2.7e-15 s_1, and on the 300 cva
     # acceptance realizations order_heuristic_neff of `s` keeps another order
@@ -328,14 +350,19 @@ def weighted_svd(h_fp_hat: np.ndarray, weights: WeightPair) -> WeightedSvd:
     """Weight the LS estimate and factor it: thin SVD and values only."""
     m = weights.apply(h_fp_hat)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return WeightedSvd(m=m, values=np.linalg.svd(m, compute_uv=False), u=u, s=s, vt=vt)
+    values = np.linalg.svd(m, compute_uv=False)
+    shape = (m.shape[0], weights.n_cols)
+    pad = min(shape) - s.size
+    if pad > 0:
+        values, s = np.pad(values, (0, pad)), np.pad(s, (0, pad))
+        u, vt = np.pad(u, ((0, 0), (0, pad))), np.pad(vt, ((0, pad), (0, 0)))
+    return WeightedSvd(m=m, shape=shape, values=values, u=u, s=s, vt=vt)
 
 
 def truncate_estimate(estimate: WeightedSvd | np.ndarray, weights: WeightPair,
                       r: int) -> np.ndarray:
     """Best rank-r approximation in the weighted norm, mapped back to the
-    original coordinates (Moore-Penrose unweighting for rectangular w2).
-    A raw estimate is factored first."""
+    original coordinates. A raw estimate is factored first."""
     svd = weighted_svd(estimate, weights) if isinstance(estimate, np.ndarray) else estimate
     if not 1 <= r <= svd.s.size:
         raise ValueError(f"rank {r} outside [1, {svd.s.size}]")
@@ -357,7 +384,7 @@ def rank_star(data: HankelData, ls: LsEstimate, weights: WeightPair,
     """
     if svd is None:
         svd = weighted_svd(ls.h_fp_hat, weights)
-    dim_i, dim_j = min(svd.m.shape), max(svd.m.shape)
+    dim_i, dim_j = min(svd.shape), max(svd.shape)
     for r in range(1, dim_i + 1):
         h_trunc = truncate_estimate(svd, weights, r)
         noise = estimate_noise(data, h_trunc, ls.h_f_hat, rank_used=r)

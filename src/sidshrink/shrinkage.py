@@ -207,11 +207,11 @@ def sure_select(s, sigma: float, i: int, j: int) -> float:
 def shrink_estimate(estimate: "WeightedSvd | np.ndarray", weights: "WeightPair",
                     sigma_level: float, method: str) -> np.ndarray:
     """Shrink the singular values of the weighted estimate and map back to
-    original coordinates (Moore-Penrose unweighting for rectangular column
-    weights). A raw estimate is factored first."""
+    original coordinates. The thresholds take the estimate's noise-model
+    shape. A raw estimate is factored first."""
     if isinstance(estimate, np.ndarray):
         from .estimation import weighted_svd  # estimation imports this module
         estimate = weighted_svd(estimate, weights)
-    ctx = make_context(estimate.m.shape, sigma_level)
+    ctx = make_context(estimate.shape, sigma_level)
     s_shr = shrink_values(estimate.s, ctx, method)
     return weights.unapply((estimate.u * s_shr) @ estimate.vt)

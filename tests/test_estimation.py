@@ -233,9 +233,14 @@ def test_cva_weights_reconstruct():
 def test_n4sid_weights_and_roundtrip():
     data = _random_dataset(6, f=4, p=4, n_cols=100)
     w = build_weights("n4sid", data)
-    assert w.w2 is data.z_p or np.array_equal(w.w2, data.z_p)
-    # z_p has full row rank, so unapply(apply(.)) is exact
+    # w2 is a lower-triangular square factor of Z_p Z_p', so it weights
+    # every h with the norm Z_p gives it
+    zz = data.z_p @ data.z_p.T
+    assert np.array_equal(w.w2, np.tril(w.w2))
+    assert np.allclose(w.w2 @ w.w2.T, zz, rtol=0.0, atol=1e-12 * np.abs(zz).max())
     m = np.random.default_rng(1).standard_normal((4, 8))
+    assert np.linalg.norm(w.apply(m)) == pytest.approx(np.linalg.norm(m @ data.z_p), rel=1e-12)
+    # z_p has full row rank, so unapply(apply(.)) is exact
     assert np.allclose(w.unapply(w.apply(m)), m, atol=1e-8)
 
 
@@ -280,7 +285,6 @@ def test_z_pinv_is_formed_once_and_shared():
     ref = np.linalg.pinv(data.z_p, rcond=RCOND)
     assert np.array_equal(pinv.view(np.uint64), ref.view(np.uint64))
     assert data.z_pinv is pinv and not pinv.flags.writeable
-    assert build_weights("n4sid", data).w2_pinv is pinv
     ls = ls_estimate(data)
     assert init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 1).z_pinv is pinv
 

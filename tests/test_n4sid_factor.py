@@ -1,0 +1,147 @@
+"""The n4sid weights on the square triangular factor R' of Z_p (R'R = Z_p Z_p'):
+every map that the wide W1 H Z_p defines (truncation, the shrinkers, r*, the
+noise level) is the same map on the f x 2p W1 H R', as long as the noise
+model keeps its f x N shape."""
+import numpy as np
+import pytest
+
+from _util import siso_model, sim_dataset
+from sidshrink.bayes import GibbsConfig
+from sidshrink.bench import METHOD_NAMES, draw_realization, identify
+from sidshrink.errors import NumericalError
+from sidshrink.estimation import (
+    HankelData,
+    RankStar,
+    _zpz_perp,
+    assemble,
+    build_weights,
+    estimate_noise,
+    ls_estimate,
+    noise_level,
+    rank_star,
+    truncate_estimate,
+    weighted_svd,
+)
+from sidshrink.shrinkage import METHODS, make_context, shrink_estimate, shrink_values, soft_threshold_level
+
+REL = 1e-12
+
+
+class WideOracle:
+    """The n4sid pipeline on W1 H Z_p itself, with Z_p's pseudo-inverse as
+    the unweighting, as the weights were before the factor form."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pinv = np.linalg.pinv(data.z_p)
+        x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)), data.z_p)
+        self.factor1 = float(np.linalg.eigvalsh(x @ x.T)[-1])
+
+    def factor(self, h):
+        return np.linalg.svd(h @ self.data.z_p, full_matrices=False)
+
+    def truncate(self, h, r):
+        u, s, vt = self.factor(h)
+        return (u[:, :r] * s[:r]) @ vt[:r] @ self.pinv
+
+    def shrink(self, h, sigma, method):
+        u, s, vt = self.factor(h)
+        m = h @ self.data.z_p
+        return (u * shrink_values(s, make_context(m.shape, sigma), method)) @ vt @ self.pinv
+
+    def sigma(self, g_hat_sq):
+        return np.sqrt(self.factor1 * np.linalg.eigvalsh(g_hat_sq)[-1])
+
+    def rank_star(self, ls):
+        s = self.factor(ls.h_fp_hat)[1]
+        i, j = sorted((ls.h_fp_hat.shape[0], self.data.n_cols))
+        for r in range(1, i + 1):
+            noise = estimate_noise(self.data, self.truncate(ls.h_fp_hat, r), ls.h_f_hat,
+                                   rank_used=r)
+            sigma = self.sigma(noise.g_hat_sq)
+            if np.sum(s > soft_threshold_level(i, j, sigma)) < r:
+                return RankStar(r_star=r, sigma_level=sigma, converged=True)
+        return RankStar(r_star=i, sigma_level=sigma, converged=False)
+
+
+def _close(a, b, rel=REL):
+    return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("run_id", range(4))
+def test_factor_form_gives_the_wide_form_maps(run_id):
+    draw = draw_realization(0, run_id, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    ls = ls_estimate(data)
+    weights = build_weights("n4sid", data)
+    svd = weighted_svd(ls.h_fp_hat, weights)
+    wide = WideOracle(data)
+    assert svd.m.shape == (data.f, 2 * data.p)
+    assert svd.shape == (data.f, data.n_cols)
+    assert weights.factor1 == pytest.approx(wide.factor1, rel=REL, abs=0.0)
+    assert np.allclose(svd.values, wide.factor(ls.h_fp_hat)[1], rtol=REL, atol=0.0)
+    expect = wide.rank_star(ls)
+    got = rank_star(data, ls, weights, svd)
+    assert (got.r_star, got.converged) == (expect.r_star, expect.converged)
+    assert got.sigma_level == pytest.approx(expect.sigma_level, rel=REL, abs=0.0)
+    for r in range(1, expect.r_star + 3):
+        assert _close(truncate_estimate(svd, weights, r), wide.truncate(ls.h_fp_hat, r))
+    for method in METHODS:
+        assert _close(shrink_estimate(svd, weights, got.sigma_level, method),
+                      wide.shrink(ls.h_fp_hat, got.sigma_level, method))
+
+
+def test_non_bayes_n4sid_identify_forms_no_pseudo_inverse():
+    draw = draw_realization(0, 0, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    methods = tuple(m for m in METHOD_NAMES if m != "bayes")
+    identify(data, "n4sid", methods, GibbsConfig(rank=1), np.random.default_rng(0))
+    assert "z_pinv" not in data.__dict__
+    # the chain still reads it
+    identify(data, "n4sid", ("bayes",), GibbsConfig(rank=1, n_total=4, n_burn=1),
+             np.random.default_rng(0))
+    assert "z_pinv" in data.__dict__
+
+
+def test_n4sid_weights_reject_a_rank_deficient_z_p():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 50))
+    z = np.vstack([z, z[:1]])           # a repeated row
+    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
+                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    with pytest.raises(NumericalError, match="n4sid"):
+        build_weights("n4sid", data)
+
+
+def test_padded_spectrum_is_the_wide_one_up_to_rounding():
+    # SISO with f > 2p: W1 H Z_p is f x N of rank 2p, its last f - 2p values
+    # are rounding noise, and the factor form pads them as zeros
+    rng = np.random.default_rng(3)
+    model = siso_model([[0.6, 0.2], [-0.1, 0.5]], [[1.0], [0.5]], [[1.0, -0.4]],
+                       np.eye(2) * 0.2, [[0.3]])
+    f, p = 10, 3
+    _, _, data = sim_dataset(model, 300, f, p, rng, burn_in=50)
+    ls = ls_estimate(data)
+    weights = build_weights("n4sid", data)
+    svd = weighted_svd(ls.h_fp_hat, weights)
+    wide = WideOracle(data)
+    s_wide = wide.factor(ls.h_fp_hat)[1]
+    assert svd.m.shape == (f, 2 * p)
+    assert svd.shape == (f, data.n_cols)
+    assert svd.values.shape == svd.s.shape == (f,)
+    assert svd.u.shape == (f, f) and svd.vt.shape == (f, 2 * p)
+    assert np.all(svd.values[2 * p:] == 0.0) and np.all(svd.s[2 * p:] == 0.0)
+    assert np.allclose(svd.values[:2 * p], s_wide[:2 * p], rtol=REL, atol=0.0)
+    assert np.all(s_wide[2 * p:] <= 1e-13 * s_wide[0])
+    g_hat_sq = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_hat_sq
+    assert noise_level(weights, g_hat_sq) == pytest.approx(wide.sigma(g_hat_sq), rel=REL)
+    expect = wide.rank_star(ls)
+    got = rank_star(data, ls, weights, svd)
+    assert (got.r_star, got.converged) == (expect.r_star, expect.converged)
+    assert got.sigma_level == pytest.approx(expect.sigma_level, rel=REL, abs=0.0)
+    for r in (1, 2 * p, f):
+        assert _close(truncate_estimate(svd, weights, r), wide.truncate(ls.h_fp_hat, r))
+    for method in METHODS:
+        assert _close(shrink_estimate(svd, weights, got.sigma_level, method),
+                      wide.shrink(ls.h_fp_hat, got.sigma_level, method), rel=1e-10)
+

@@ -27,8 +27,9 @@ def _per_call_truncate(h_fp_hat, weights, r):
 
 
 def _per_call_shrink(h_fp_hat, weights, sigma_level, method):
+    # the noise model's shape: N columns under n4sid, whose w2 is 2p x 2p
     m = weights.apply(h_fp_hat)
-    ctx = make_context(m.shape, sigma_level)
+    ctx = make_context((m.shape[0], weights.n_cols), sigma_level)
     transposed = m.shape[0] > m.shape[1]
     u, s, vt = np.linalg.svd(m.T if transposed else m, full_matrices=False)
     denoised = (u * shrink_values(s, ctx, method)) @ vt
@@ -38,7 +39,8 @@ def _per_call_shrink(h_fp_hat, weights, sigma_level, method):
 def _per_call_rank_star(data, ls, weights):
     m = weights.apply(ls.h_fp_hat)
     s_all = np.linalg.svd(m, compute_uv=False)
-    dim_i, dim_j = min(m.shape), max(m.shape)
+    shape = (m.shape[0], weights.n_cols)
+    dim_i, dim_j = min(shape), max(shape)
     for r in range(1, dim_i + 1):
         h_trunc = _per_call_truncate(ls.h_fp_hat, weights, r)
         noise = estimate_noise(data, h_trunc, ls.h_f_hat, rank_used=r)
