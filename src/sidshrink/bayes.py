@@ -56,7 +56,9 @@ class GibbsConfig:
 class GibbsState:
     """The sampled blocks (gamma_f, h_f), l_p and g_f; the rest stays fixed
     for the whole chain: the data enter as the Gram blocks of stacked =
-    [Y_f; Z_p; U_f] (yz = Y_f Z_p', ...) and as Y_f z_pinv, U_f z_pinv."""
+    [Y_f; Z_p; U_f] (yz = Y_f Z_p', ...), as y_zpinv = Y_f Z_p^+ and
+    u_zpinv = U_f Z_p^+ (formed as yz (R'R)^-1 and uz (R'R)^-1), and as
+    z_factor, the triangular R of Z_p with R'R = Z_p Z_p'."""
 
     gamma_f: np.ndarray
     h_f: np.ndarray
@@ -66,7 +68,7 @@ class GibbsState:
     lambda_h: np.ndarray
     lambda_l: np.ndarray
     selectors: SelectorPair
-    z_pinv: np.ndarray
+    z_factor: np.ndarray
     stacked: np.ndarray
     yz: np.ndarray
     yu: np.ndarray
@@ -88,10 +90,14 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     """First iterate and fixed prior scales from a rank-r SVD of the
     reconstructed future prediction h_fp_hat Z_p.
 
-    Gamma and L split the truncated SVD symmetrically; G_f starts at the
-    identity. The prior precisions (lambda_gamma = diag(i / s_k),
-    lambda_l = diag(j / s_k), lambda_h = I i^2 / tr(h_f' h_f)) stay fixed
-    for the whole chain. SISO only.
+    With R = data.z_factor, h_fp_hat Z_p = (h_fp_hat R') Q' for Q with
+    orthonormal columns, so the f x 2p matrix h_fp_hat R' has the same
+    singular values and U, and l_p = (sqrt(s) V') R'^-1 equals the split
+    of the f x N SVD composed with Z_p^+. Gamma and L split the truncated
+    SVD symmetrically; G_f starts at the identity. The prior precisions
+    (lambda_gamma = diag(i / s_k), lambda_l = diag(j / s_k), lambda_h =
+    I i^2 / tr(h_f' h_f)) stay fixed for the whole chain. SISO only; a
+    (near) rank-deficient Z_p raises NumericalError.
     """
     if data.n_i != 1 or data.n_o != 1:
         raise ConfigError("the Bayesian estimator supports SISO data only")
@@ -99,17 +105,19 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     j = data.n_cols
     if not 1 <= rank <= min(i, data.z_p.shape[0]):
         raise ValueError(f"rank {rank} outside [1, {min(i, data.z_p.shape[0])}]")
-    m = h_fp_hat @ data.z_p
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    z_factor = data.full_rank_z_factor("Gibbs chain")
+    u, s, vt = np.linalg.svd(h_fp_hat @ z_factor.T, full_matrices=False)
     s_r = np.maximum(s[:rank], max(s[0], np.finfo(float).tiny) * 1e-12)
     root = np.sqrt(s_r)
-    z_pinv = data.z_pinv
     gamma = u[:, :rank] * root
-    l_p = (root[:, None] * vt[:rank]) @ z_pinv
+    l_p = scipy.linalg.solve_triangular(z_factor, (root[:, None] * vt[:rank]).T).T
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
     stacked = np.vstack([data.y_f, data.z_p, data.u_f])
     gram = stacked @ stacked.T
     q = i + data.z_p.shape[0]     # Z_p rows of the stack are i..q-1
+    # (Z_p Z_p')^-1 from R alone: Y_f or U_f may hold NaN, which the chain
+    # reports at its first iteration
+    zz_inv = scipy.linalg.cho_solve((z_factor, False), np.eye(q - i))
     return GibbsState(
         gamma_f=gamma,
         h_f=toeplitz_project(h_f_hat),
@@ -119,20 +127,23 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         lambda_h=np.eye(i) * (i * i / trace_h),
         lambda_l=np.diag(j / s_r),
         selectors=build_selectors(i, j),
-        z_pinv=z_pinv,
+        z_factor=z_factor,
         stacked=stacked,
         yz=gram[:i, i:q], yu=gram[:i, q:], zz=gram[i:q, i:q], zu=gram[i:q, q:], uu=gram[q:, q:],
-        y_zpinv=data.y_f @ z_pinv, u_zpinv=data.u_f @ z_pinv,
+        y_zpinv=gram[:i, i:q] @ zz_inv, u_zpinv=gram[q:, i:q] @ zz_inv,
     )
 
 
 def _gamma_hf_parts(state: GibbsState):
-    """Posterior mean and noise shaping for the [Gamma_f H_f] draw.
+    """Posterior mean and the lower Cholesky factor L of the precision for
+    the [Gamma_f H_f] draw.
 
     The noise factor enters as G_f = g_f[0,0] g_bar: the scalar
     gamma = 1 / g_f[0,0]^2 weights the likelihood and g_bar shapes the rows.
     For the regressor reg = [L_p Z_p; U_f], reg reg' and Y_f reg' come from
-    the Gram blocks.
+    the Gram blocks. A precision that is not positive definite raises
+    NumericalError. The mean is not checked for NaN: one in Y_f reaches the
+    draw, and run_gibbs reports the draw.
     """
     gamma_scalar = 1.0 / (state.g_f[0, 0] ** 2)
     r = state.l_p.shape[0]
@@ -142,19 +153,28 @@ def _gamma_hf_parts(state: GibbsState):
     gram[r:, :r] = gram[:r, r:].T
     gram[r:, r:] = state.lambda_h + gamma_scalar * state.uu
     gram = (gram + gram.T) / 2.0
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("[Gamma_f H_f] precision not positive definite") from exc
     y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
-    mean = gamma_scalar * np.linalg.solve(gram, y_reg.T).T
-    return mean, gram
+    mean = gamma_scalar * scipy.linalg.cho_solve((chol, True), y_reg.T, check_finite=False).T
+    return mean, chol
 
 
 def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
     """Conditional mean of gamma_f and the draw of (gamma_f, h_f), with the
     h_f draw projected back onto lower-triangular Toeplitz matrices. The
-    chain never reads the mean of h_f; _gamma_hf_parts holds it."""
-    mean, gram = _gamma_hf_parts(state)
+    chain never reads the mean of h_f; _gamma_hf_parts holds it.
+
+    With the precision L L', the rows of xi L^-1 have covariance
+    (L L')^-1; one triangular solve forms them."""
+    mean, chol = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
-    draw = mean + g_bar @ xi @ psd_sqrt(gram, inverse=True)
+    root_xi = scipy.linalg.solve_triangular(chol, xi.T, lower=True, trans="T",
+                                            check_finite=False).T
+    draw = mean + g_bar @ root_xi
     r = state.l_p.shape[0]
     return mean[:, :r], (draw[:, :r], toeplitz_project(draw[:, r:]))
 
@@ -166,15 +186,20 @@ def step_lp(state: GibbsState, rng: np.random.Generator):
     The GLS mean solves (Gamma' S^-1 Gamma + lambda_l) q = Gamma' S^-1 (Y_f -
     H_f U_f) with S = G_f G_f'. Mean and draw are returned composed with the
     past-regressor pseudo-inverse, in regressor coordinates, so the right
-    side is formed from S^-1 Gamma, Y_f z_pinv and U_f z_pinv.
+    side is formed from S^-1 Gamma, y_zpinv and u_zpinv. The draw's noise
+    is prec^-1/2 xi R'^-1 for r x 2p normals xi: its rows have covariance
+    R^-1 R'^-1 = (Z_p Z_p')^-1 = Z_p^+' Z_p^+, the law of r x N normals
+    times Z_p^+.
     """
     sinv_gamma = scipy.linalg.cho_solve((state.g_f, True), state.gamma_f)
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
     prec = (prec + prec.T) / 2.0
     rhs = sinv_gamma.T @ state.y_zpinv - (sinv_gamma.T @ state.h_f) @ state.u_zpinv
     mean = np.linalg.solve(prec, rhs)
-    xi = rng.standard_normal((mean.shape[0], state.z_pinv.shape[0]))
-    return mean, mean + psd_sqrt(prec, inverse=True) @ (xi @ state.z_pinv)
+    xi = rng.standard_normal(mean.shape)
+    # R was checked in init_gibbs and xi is finite
+    xi_r = scipy.linalg.solve_triangular(state.z_factor, xi.T, check_finite=False).T
+    return mean, mean + psd_sqrt(prec, inverse=True) @ xi_r
 
 
 def _skew(m: np.ndarray) -> np.ndarray:
@@ -195,8 +220,12 @@ def _omega_hankel(resid: np.ndarray) -> np.ndarray:
     """
     i, j = resid.shape
     n_coef = i + j - 1
-    # row m: anti-diagonal sums of the first m+1 rows of the residue
-    sums = np.cumsum(_skew(resid), axis=0)
+    # row m: anti-diagonal sums of the first m+1 rows of the residue; a
+    # running sum over rows gives np.cumsum(axis=0)'s bits without its
+    # strided pass
+    sums = _skew(resid)
+    for m in range(1, i):
+        np.add(sums[m - 1], sums[m], out=sums[m])
     s = _skew(sums[::-1])[::-1, :n_coef].T
     w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
     omega = s.T @ (s / w[:, None])

@@ -55,7 +55,9 @@ SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HankelData:
-    """Past/future block Hankel matrices assembled from one realization."""
+    """Past/future block Hankel matrices assembled from one realization,
+    and z_factor, the triangular factor of Z_p that the n4sid weights and
+    the Gibbs chain share."""
 
     y_f: np.ndarray
     u_f: np.ndarray
@@ -69,12 +71,21 @@ class HankelData:
     n_o: int
 
     @functools.cached_property
-    def z_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of z_p, formed on first read and shared read-only
-        by the Gibbs chain's steps; the weights never read it."""
-        out = np.linalg.pinv(self.z_p, rcond=RCOND)
+    def z_factor(self) -> np.ndarray:
+        """Upper-triangular R of a thin QR of z_p', so that R'R = Z_p Z_p';
+        formed on first read and shared read-only by the n4sid weights and
+        the Gibbs chain. identity and cva never read it."""
+        out = np.linalg.qr(self.z_p.T, mode="r")
         out.setflags(write=False)
         return out
+
+    def full_rank_z_factor(self, caller: str) -> np.ndarray:
+        """z_factor, or NumericalError naming the caller when Z_p is (near)
+        rank deficient."""
+        diag = np.abs(np.diag(self.z_factor))
+        if diag.min() <= RCOND * diag.max():
+            raise NumericalError(f"{caller}: Z_p is rank deficient")
+        return self.z_factor
 
 
 @dataclass(frozen=True)
@@ -260,10 +271,10 @@ def build_weights(scheme: str, data: HankelData,
 
     identity: w1 = I, w2 = I.
     cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2).
-    n4sid:    w1 = I, w2 = R' with R the triangular factor of a thin QR of
-              Z_p', so that R'R = Z_p Z_p' and ||h R'|| = ||h Z_p|| for every
-              h; w2_pinv is its triangular inverse. A (near) rank-deficient
-              Z_p raises NumericalError.
+    n4sid:    w1 = I, w2 = R' with R = data.z_factor, the triangular factor
+              of a thin QR of Z_p', so that R'R = Z_p Z_p' and ||h R'|| =
+              ||h Z_p|| for every h; w2_pinv is its triangular inverse. A
+              (near) rank-deficient Z_p raises NumericalError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -291,10 +302,7 @@ def build_weights(scheme: str, data: HankelData,
     else:  # n4sid
         w1 = eye_rows
         w1_inv = eye_rows
-        r = np.linalg.qr(data.z_p.T, mode="r")
-        diag = np.abs(np.diag(r))
-        if diag.min() <= RCOND * diag.max():
-            raise NumericalError("n4sid scheme: Z_p is rank deficient")
+        r = data.full_rank_z_factor("n4sid scheme")
         w2 = r.T
         w2_pinv = scipy.linalg.solve_triangular(r, np.eye(n_past), lower=False).T
     return WeightPair(

@@ -87,14 +87,31 @@ def test_init_rank_bounds():
 
 
 def test_init_factorizes_reconstruction():
+    # the SVD runs on h R' (f x 2p) and the data maps on (R'R)^-1; both must
+    # agree with the f x N SVD and with pinv(Z_p) formed here
     data, ls, state = _state(rank=2)
     m = ls.h_fp_hat @ data.z_p
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     ref = (u[:, :2] * s[:2]) @ vt[:2]
     got = state.gamma_f @ state.l_p @ data.z_p
-    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     # symmetric split of the singular values
     assert np.allclose(np.linalg.norm(state.gamma_f, axis=0) ** 2, s[:2], rtol=1e-8)
+    pinv = np.linalg.pinv(data.z_p)
+    for mapped, block in ((state.y_zpinv, data.y_f), (state.u_zpinv, data.u_f)):
+        expect = block @ pinv
+        assert np.abs(mapped - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert state.z_factor is data.z_factor
+
+
+def test_init_rejects_a_rank_deficient_z_p():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 50))
+    z = np.vstack([z, z[:1]])           # a repeated row
+    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
+                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    with pytest.raises(NumericalError, match="Gibbs chain: Z_p is rank deficient"):
+        init_gibbs(rng.standard_normal((2, 4)), rng.standard_normal((2, 2)), data, 1)
 
 
 def test_init_prior_scales():
@@ -149,6 +166,13 @@ def test_gamma_hf_strong_prior_shrinks_to_zero():
     assert np.abs(toeplitz_project(mean[:, 2:])).max() < 1e-6
 
 
+def test_gamma_hf_precision_not_positive_definite_is_a_numerical_error():
+    _, _, state = _state(rank=2)
+    state.lambda_gamma = -1e12 * np.eye(2)
+    with pytest.raises(NumericalError, match="precision not positive definite"):
+        step_gamma_hf(state, np.random.default_rng(0))
+
+
 def test_lp_gls_collapse():
     data, ls, state = _state(rank=2)
     state.lambda_l = np.eye(2) * 1e-12
@@ -156,7 +180,7 @@ def test_lp_gls_collapse():
     l_det, _ = step_lp(state, np.random.default_rng(0))
     target = data.y_f - state.h_f @ data.u_f
     coeff, *_ = np.linalg.lstsq(state.gamma_f, target, rcond=None)
-    assert np.allclose(l_det, coeff @ state.z_pinv, atol=1e-6)
+    assert np.allclose(l_det, coeff @ np.linalg.pinv(data.z_p), atol=1e-6)
 
 
 def test_lp_orthonormal_closed_form():
@@ -166,7 +190,7 @@ def test_lp_orthonormal_closed_form():
     state.lambda_l = np.eye(2)
     state.g_f = np.eye(3)
     l_det, _ = step_lp(state, np.random.default_rng(0))
-    expect = 0.5 * q.T @ (data.y_f - state.h_f @ data.u_f) @ state.z_pinv
+    expect = 0.5 * q.T @ (data.y_f - state.h_f @ data.u_f) @ np.linalg.pinv(data.z_p)
     assert np.allclose(l_det, expect, atol=1e-10)
 
 
@@ -177,7 +201,7 @@ def test_lp_toeplitz_noise_matches_dense_gls():
     s_inv = np.linalg.inv(state.g_f @ state.g_f.T)
     prec = state.gamma_f.T @ s_inv @ state.gamma_f + state.lambda_l
     target = data.y_f - state.h_f @ data.u_f
-    expect = np.linalg.solve(prec, state.gamma_f.T @ s_inv @ target) @ state.z_pinv
+    expect = np.linalg.solve(prec, state.gamma_f.T @ s_inv @ target) @ np.linalg.pinv(data.z_p)
     rng = np.random.default_rng(8)
     n = 4000
     draws = np.empty((n,) + expect.shape)
@@ -186,6 +210,12 @@ def test_lp_toeplitz_noise_matches_dense_gls():
     assert np.allclose(l_mean, expect, rtol=1e-9, atol=1e-12 * np.abs(expect).max())
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - expect) <= 4.0 * se)
+    # column-major vec: Cov = (Z_p Z_p')^-1 (x) prec^-1
+    vecs = draws.transpose(0, 2, 1).reshape(n, -1)
+    cov_ref = np.kron(np.linalg.inv(data.z_p @ data.z_p.T), np.linalg.inv(prec))
+    emp_cov = np.cov(vecs.T, ddof=1)
+    se_cov = np.sqrt((np.outer(np.diag(cov_ref), np.diag(cov_ref)) + cov_ref**2) / n)
+    assert np.all(np.abs(emp_cov - cov_ref) <= 4.0 * se_cov)
 
 
 def test_steps_leave_priors_untouched():
@@ -248,6 +278,19 @@ def test_omega_matrices_match_dense_kronecker_forms():
         d_inv = np.linalg.inv(sel.b_w.T @ sel.b_w)
         om_han = m.T @ sel.b_w @ d_inv @ sel.b_w.T @ m
         assert np.allclose(_omega_hankel(e), om_han, atol=1e-12)
+
+
+def test_omega_hankel_running_sum_is_the_cumsum_form_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        i, j = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        e = rng.standard_normal((i, j)) * rng.uniform(0.01, 100.0)
+        n_coef = i + j - 1
+        sums = np.cumsum(bayes._skew(e), axis=0)
+        s = bayes._skew(sums[::-1])[::-1, :n_coef].T
+        w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
+        omega = s.T @ (s / w[:, None])
+        assert np.array_equal(_omega_hankel(e), (omega + omega.T) / 2.0)
 
 
 def test_invert_toeplitz_symbol_gives_the_inverse():
@@ -425,11 +468,15 @@ def _symbol_inverse_series(q):
 
 def _chain_on_data(data, ls, config, rng):
     """The chain with every conditional formed from Y_f, Z_p and U_f (f x N
-    and r x N products each iteration) and per-diagonal noise-update forms:
+    and r x N products each iteration), L_p mapped by pinv(Z_p), explicit
+    inverses of the Cholesky factors and per-diagonal noise-update forms:
     the oracle for run_gibbs, drawing in the same order."""
     state = init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, config.rank)
     gamma, h, l_p, g = state.gamma_f, state.h_f, state.l_p, state.g_f
     y_f, z_p, u_f = data.y_f, data.z_p, data.u_f
+    z_pinv = np.linalg.pinv(z_p)
+    # the L_p noise is r x 2p normals times R'^-1, R'R = Z_p Z_p'
+    r_inv_t = np.linalg.inv(np.linalg.qr(z_p.T, mode="r")).T
     r, (i, j) = config.rank, y_f.shape
     accum = np.zeros((i, z_p.shape[0]))
     if config.n_burn == 0:
@@ -442,7 +489,7 @@ def _chain_on_data(data, ls, config, rng):
         gram = (gram + gram.T) / 2.0
         mean = gs * np.linalg.solve(gram, (y_f @ reg.T).T).T
         xi = rng.standard_normal(mean.shape)
-        draw = mean + (g / g[0, 0]) @ xi @ psd_sqrt(gram, inverse=True)
+        draw = mean + (g / g[0, 0]) @ xi @ np.linalg.inv(np.linalg.cholesky(gram))
         gamma_mean, l_prev = mean[:, :r], l_p
         gamma, h = draw[:, :r], _project_per_diagonal(draw[:, r:])
 
@@ -451,8 +498,9 @@ def _chain_on_data(data, ls, config, rng):
         prec = gamma.T @ sinv_gamma + state.lambda_l
         prec = (prec + prec.T) / 2.0
         mean_q = np.linalg.solve(prec, sinv_gamma.T @ y_f - (sinv_gamma.T @ h) @ u_f)
-        draw_q = mean_q + psd_sqrt(prec, inverse=True) @ rng.standard_normal(mean_q.shape)
-        l_mean, l_p = mean_q @ state.z_pinv, draw_q @ state.z_pinv
+        l_mean = mean_q @ z_pinv
+        xi_q = rng.standard_normal((r, z_p.shape[0]))
+        l_p = l_mean + psd_sqrt(prec, inverse=True) @ (xi_q @ r_inv_t)
 
         resid = y_f - gamma @ (l_p @ z_p) - h @ u_f
         if config.gf_variant == "hankel_exact":
@@ -489,16 +537,19 @@ def test_run_gibbs_matches_the_chain_on_data(variant, rao_blackwell, rank):
 
 def _step_gamma_hf_rebuilding(state, rng):
     """The [Gamma_f H_f] step with its precision put together by np.block
-    and both the mean and the draw of H_f projected."""
+    and factored in place of a fill, and both the mean and the draw of H_f
+    projected."""
     gs = 1.0 / (state.g_f[0, 0] ** 2)
     lzu = gs * (state.l_p @ state.zu)
     gram = np.block([[state.lambda_gamma + gs * (state.l_p @ state.zz @ state.l_p.T), lzu],
                      [lzu.T, state.lambda_h + gs * state.uu]])
     gram = (gram + gram.T) / 2.0
+    chol = np.linalg.cholesky(gram)
     y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
-    mean = gs * np.linalg.solve(gram, y_reg.T).T
+    mean = gs * scipy.linalg.cho_solve((chol, True), y_reg.T).T
     xi = rng.standard_normal(mean.shape)
-    draw = mean + (state.g_f / state.g_f[0, 0]) @ xi @ psd_sqrt(gram, inverse=True)
+    root_xi = scipy.linalg.solve_triangular(chol, xi.T, lower=True, trans="T").T
+    draw = mean + (state.g_f / state.g_f[0, 0]) @ root_xi
     r = state.l_p.shape[0]
     return ((mean[:, :r], toeplitz_project(mean[:, r:])),
             (draw[:, :r], toeplitz_project(draw[:, r:])))

@@ -7,7 +7,6 @@ from sidshrink.bayes import init_gibbs
 from sidshrink.bench import draw_realization
 from sidshrink.errors import DataError, NumericalError
 from sidshrink.estimation import (
-    RCOND,
     HankelData,
     _max_eig_congruence,
     _zpz_perp,
@@ -279,14 +278,16 @@ def test_lambda_max_is_none_when_zpz_is_singular():
     assert build_weights("identity", data).factor1 is None
 
 
-def test_z_pinv_is_formed_once_and_shared():
+def test_z_factor_is_formed_once_and_shared():
     data = _random_dataset(6, f=4, p=4, n_cols=100)
-    pinv = data.z_pinv
-    ref = np.linalg.pinv(data.z_p, rcond=RCOND)
-    assert np.array_equal(pinv.view(np.uint64), ref.view(np.uint64))
-    assert data.z_pinv is pinv and not pinv.flags.writeable
+    r = data.z_factor
+    ref = np.linalg.qr(data.z_p.T, mode="r")
+    assert np.array_equal(r.view(np.uint64), ref.view(np.uint64))
+    assert data.z_factor is r and not r.flags.writeable
+    assert np.allclose(r.T @ r, data.z_p @ data.z_p.T, rtol=1e-12, atol=0.0)
     ls = ls_estimate(data)
-    assert init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 1).z_pinv is pinv
+    assert init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 1).z_factor is r
+    assert np.shares_memory(build_weights("n4sid", data).w2, r)
 
 
 def test_unknown_scheme_rejected():

@@ -91,16 +91,23 @@ def test_factor_form_gives_the_wide_form_maps(run_id):
                       wide.shrink(ls.h_fp_hat, got.sigma_level, method))
 
 
-def test_non_bayes_n4sid_identify_forms_no_pseudo_inverse():
+def test_z_factor_is_read_by_n4sid_and_the_chain_only():
     draw = draw_realization(0, 0, 0)
     data = assemble(draw.u, draw.y, draw.f, draw.p)
     methods = tuple(m for m in METHOD_NAMES if m != "bayes")
-    identify(data, "n4sid", methods, GibbsConfig(rank=1), np.random.default_rng(0))
-    assert "z_pinv" not in data.__dict__
-    # the chain still reads it
-    identify(data, "n4sid", ("bayes",), GibbsConfig(rank=1, n_total=4, n_burn=1),
+    identify(data, "cva", methods, GibbsConfig(rank=1), np.random.default_rng(0))
+    assert "z_factor" not in data.__dict__
+    got = identify(data, "n4sid", methods, GibbsConfig(rank=1), np.random.default_rng(0))
+    r = data.__dict__["z_factor"]
+    assert np.shares_memory(got.weights.w2, r)
+    # the chain reads the same factor, formed once
+    identify(data, "cva", ("bayes",), GibbsConfig(rank=1, n_total=4, n_burn=1),
              np.random.default_rng(0))
-    assert "z_pinv" in data.__dict__
+    assert data.z_factor is r
+    fresh = assemble(draw.u, draw.y, draw.f, draw.p)
+    identify(fresh, "identity", ("bayes",), GibbsConfig(rank=1, n_total=4, n_burn=1),
+             np.random.default_rng(0))
+    assert "z_factor" in fresh.__dict__
 
 
 def test_n4sid_weights_reject_a_rank_deficient_z_p():
