@@ -12,10 +12,14 @@ means.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+# the iteration calls LAPACK directly: each scipy.linalg wrapper costs more
+# than the small solve it wraps
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConfigError, NumericalError
 from .estimation import HankelData
@@ -112,7 +116,7 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     gamma = u[:, :rank] * root
     l_p = scipy.linalg.solve_triangular(z_factor, (root[:, None] * vt[:rank]).T).T
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
-    stacked = np.vstack([data.y_f, data.z_p, data.u_f])
+    stacked = data.stacked
     gram = stacked @ stacked.T
     q = i + data.z_p.shape[0]     # Z_p rows of the stack are i..q-1
     # (Z_p Z_p')^-1 from R alone: Y_f or U_f may hold NaN, which the chain
@@ -134,6 +138,15 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     )
 
 
+def _checked(result: tuple[np.ndarray, int], what: str) -> np.ndarray:
+    """The array of a LAPACK (array, info) pair; a nonzero info raises
+    NumericalError naming the failed step."""
+    out, info = result
+    if info != 0:
+        raise NumericalError(f"{what} (LAPACK info {info})")
+    return out
+
+
 def _gamma_hf_parts(state: GibbsState):
     """Posterior mean and the lower Cholesky factor L of the precision for
     the [Gamma_f H_f] draw.
@@ -153,12 +166,9 @@ def _gamma_hf_parts(state: GibbsState):
     gram[r:, :r] = gram[:r, r:].T
     gram[r:, r:] = state.lambda_h + gamma_scalar * state.uu
     gram = (gram + gram.T) / 2.0
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("[Gamma_f H_f] precision not positive definite") from exc
+    chol = _checked(dpotrf(gram, lower=1), "[Gamma_f H_f] precision not positive definite")
     y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
-    mean = gamma_scalar * scipy.linalg.cho_solve((chol, True), y_reg.T, check_finite=False).T
+    mean = gamma_scalar * _checked(dpotrs(chol, y_reg.T, lower=1), "[Gamma_f H_f] mean").T
     return mean, chol
 
 
@@ -172,8 +182,7 @@ def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
     mean, chol = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
-    root_xi = scipy.linalg.solve_triangular(chol, xi.T, lower=True, trans="T",
-                                            check_finite=False).T
+    root_xi = _checked(dtrtrs(chol, xi.T, lower=1, trans=1), "[Gamma_f H_f] draw").T
     draw = mean + g_bar @ root_xi
     r = state.l_p.shape[0]
     return mean[:, :r], (draw[:, :r], toeplitz_project(draw[:, r:]))
@@ -186,20 +195,21 @@ def step_lp(state: GibbsState, rng: np.random.Generator):
     The GLS mean solves (Gamma' S^-1 Gamma + lambda_l) q = Gamma' S^-1 (Y_f -
     H_f U_f) with S = G_f G_f'. Mean and draw are returned composed with the
     past-regressor pseudo-inverse, in regressor coordinates, so the right
-    side is formed from S^-1 Gamma, y_zpinv and u_zpinv. The draw's noise
-    is prec^-1/2 xi R'^-1 for r x 2p normals xi: its rows have covariance
-    R^-1 R'^-1 = (Z_p Z_p')^-1 = Z_p^+' Z_p^+, the law of r x N normals
-    times Z_p^+.
+    side is formed from S^-1 Gamma, y_zpinv and u_zpinv. One inverse root
+    prec^-1/2 gives both: the mean is prec^-1/2 (prec^-1/2 rhs), and the
+    draw's noise is prec^-1/2 xi R'^-1 for r x 2p normals xi, whose rows
+    have covariance R^-1 R'^-1 = (Z_p Z_p')^-1 = Z_p^+' Z_p^+, the law of
+    r x N normals times Z_p^+.
     """
-    sinv_gamma = scipy.linalg.cho_solve((state.g_f, True), state.gamma_f)
+    sinv_gamma = _checked(dpotrs(state.g_f, state.gamma_f, lower=1), "S^-1 Gamma_f")
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
     prec = (prec + prec.T) / 2.0
     rhs = sinv_gamma.T @ state.y_zpinv - (sinv_gamma.T @ state.h_f) @ state.u_zpinv
-    mean = np.linalg.solve(prec, rhs)
+    root = psd_sqrt(prec, inverse=True)
+    mean = root @ (root @ rhs)
     xi = rng.standard_normal(mean.shape)
-    # R was checked in init_gibbs and xi is finite
-    xi_r = scipy.linalg.solve_triangular(state.z_factor, xi.T, check_finite=False).T
-    return mean, mean + psd_sqrt(prec, inverse=True) @ xi_r
+    xi_r = _checked(dtrtrs(state.z_factor, xi.T), "L_p draw").T
+    return mean, mean + root @ xi_r
 
 
 def _skew(m: np.ndarray) -> np.ndarray:
@@ -248,7 +258,8 @@ def _invert_toeplitz_symbol(q: np.ndarray) -> np.ndarray:
     """First column of the inverse of the lower-triangular Toeplitz matrix
     with first column q (the inverse is lower-triangular Toeplitz too)."""
     e_0 = np.eye(1, q.shape[0])[0]
-    return scipy.linalg.solve_triangular(toeplitz_from_col(q), e_0, lower=True)
+    return _checked(dtrtrs(toeplitz_from_col(q), e_0, lower=1),
+                    "noise-factor symbol is singular")
 
 
 def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +269,14 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
     full lower-triangular Toeplitz inverse, and inverts it exactly on the
     group. Returns (g_f, row).
     """
-    try:
-        om_l = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError as exc:
+    om_l, info = dpotrf(omega, lower=1)
+    if info != 0:
         min_eig = float(np.linalg.eigvalsh((omega + omega.T) / 2.0)[0])
         raise NumericalError(
             f"noise-update quadratic form not positive definite "
             f"(min eigenvalue {min_eig:.3e})"
-        ) from exc
-    row = scipy.linalg.solve_triangular(om_l, nu, lower=True, trans="T")
+        )
+    row = _checked(dtrtrs(om_l, nu, lower=1, trans=1), "noise-factor row")
     # row[::-1][d] is the subdiagonal-d coefficient of G_f^-1
     return toeplitz_from_col(_invert_toeplitz_symbol(row[::-1])), row
 
@@ -291,6 +301,13 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
     return state.g_f
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm(m) bit for bit (the same dot of the flattened array),
+    without the wrapper's dispatch."""
+    flat = m.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
 def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
               config: GibbsConfig, rng: np.random.Generator) -> GibbsEstimate:
     """Run the chain and average Gamma_f L_p over iterations
@@ -306,7 +323,7 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     if config.n_burn == 0:
         # burn-in of zero keeps the deterministic first iterate as well
         accum += state.gamma_f @ state.l_p
-    diagnostics = [float(np.linalg.norm(state.gamma_f @ state.l_p))]
+    diagnostics = [_frobenius(state.gamma_f @ state.l_p)]
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
     # identity block is filled once, the others each iteration
     q = data.f + data.z_p.shape[0]
@@ -332,7 +349,7 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")
-        diagnostics.append(float(np.linalg.norm(product)))
+        diagnostics.append(_frobenius(product))
         if n > config.n_burn:
             if config.rao_blackwell:
                 accum += (gamma_mean @ l_prev + gamma_draw @ l_mean) / 2.0

@@ -228,7 +228,11 @@ def draw_realization(seed: int, run_id: int, attempt: int) -> Realization:
     """Sample a system and simulate its record from the attempt's system
     stream. A horizon that does not exceed the state dimension is a
     protocol fault, not a bad draw, and raises ConfigError."""
-    rng = np.random.default_rng(_streams(seed, run_id, attempt)[0])
+    return _draw(_streams(seed, run_id, attempt)[0])
+
+
+def _draw(system_stream: np.random.SeedSequence) -> Realization:
+    rng = np.random.default_rng(system_stream)
     model, snr, n_samples, i_horizon = sample_system(SystemSpec(), rng)
     f = p = i_horizon
     if f <= model.n_x:
@@ -252,8 +256,9 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
     last_error = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            draw = draw_realization(config.seed, run_id, attempt)
-            chain_rng = np.random.default_rng(_streams(config.seed, run_id, attempt)[1])
+            system_stream, chain_stream = _streams(config.seed, run_id, attempt)
+            draw = _draw(system_stream)
+            chain_rng = np.random.default_rng(chain_stream)
             ident = identify(assemble(draw.u, draw.y, draw.f, draw.p), config.scheme,
                              config.methods, config.gibbs, chain_rng)
             truth = true_decomposition(draw.model, draw.f, draw.p)

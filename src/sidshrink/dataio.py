@@ -78,15 +78,16 @@ def _read_lines(path):
 def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
     """The (line_no, text) rows as a len(rows) x n_cols float array.
 
-    Every value goes through one vectorised conversion with float()
-    semantics. Only when a row has the wrong number of values or a value
-    does not convert are the rows scanned one by one, to name the first
-    bad line.
+    Every value goes through float() in one pass that writes straight
+    into the array. Only when a row has the wrong number of values or a
+    value does not convert are the rows scanned one by one, to name the
+    first bad line.
     """
     texts = [line for _, line in rows]
     if all(line.count(",") == n_cols - 1 for line in texts):
+        values = ",".join(texts).split(",")
         try:
-            return np.array(",".join(texts).split(","), dtype=float).reshape(-1, n_cols)
+            return np.fromiter(map(float, values), float, len(values)).reshape(-1, n_cols)
         except ValueError:
             pass    # the scan below names the line
     for line_no, line in rows:

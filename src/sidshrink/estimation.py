@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DataError, NumericalError
-from .linalg import build_hankel, toeplitz_project
+from .linalg import hankel_windows, toeplitz_project
 from .shrinkage import soft_threshold_level
 
 __all__ = [
@@ -56,8 +56,9 @@ SIGMA_FLOOR = 1e-12
 @dataclass(frozen=True)
 class HankelData:
     """Past/future block Hankel matrices assembled from one realization,
-    and z_factor, the triangular factor of Z_p that the n4sid weights and
-    the Gibbs chain share."""
+    stacked, the [Y_f; Z_p; U_f] rows that the LS fit and the Gibbs chain
+    read, and z_factor, the triangular factor of Z_p that the n4sid weights
+    and the Gibbs chain share."""
 
     y_f: np.ndarray
     u_f: np.ndarray
@@ -69,6 +70,13 @@ class HankelData:
     n_cols: int
     n_i: int
     n_o: int
+
+    @functools.cached_property
+    def stacked(self) -> np.ndarray:
+        """[Y_f; Z_p; U_f] as one C-contiguous array. assemble stores the
+        buffer its blocks are row views of here; hand-built data stacks a
+        copy on first read."""
+        return np.vstack([self.y_f, self.z_p, self.u_f])
 
     @functools.cached_property
     def z_factor(self) -> np.ndarray:
@@ -92,7 +100,13 @@ class HankelData:
 class LsEstimate:
     h_fp_hat: np.ndarray
     h_f_hat: np.ndarray
-    residues: np.ndarray
+    data: HankelData = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residues(self) -> np.ndarray:
+        """Y_f - h_fp_hat Z_p - h_f_hat U_f, formed on first read: the
+        pipeline never reads it (estimate_noise forms its own)."""
+        return residues(self.data, self.h_fp_hat, self.h_f_hat)   # the module function
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,9 @@ def assemble(u, y, f: int, p: int) -> HankelData:
     """Build the past/future Hankel blocks from aligned input/output samples.
 
     U_p spans samples k-p..k-1 and U_f spans k..k+f-1 for k = p, giving
-    N = T - f - p + 1 columns.
+    N = T - f - p + 1 columns. The windows of u and y are copied once into
+    one C-contiguous [Y_f; U_p; Y_p; U_f] buffer, and every block, Z_p =
+    [U_p; Y_p] included, is a row view of it.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -163,14 +179,20 @@ def assemble(u, y, f: int, p: int) -> HankelData:
     n = t - f - p + 1
     if n < 1:
         raise DataError(f"need at least f + p = {f + p} samples, have {t}")
-    u_p = build_hankel(u, p, n, 0)
-    y_p = build_hankel(y, p, n, 0)
-    u_f = build_hankel(u, f, n, p)
-    y_f = build_hankel(y, f, n, p)
-    return HankelData(
-        y_f=y_f, u_f=u_f, u_p=u_p, y_p=y_p, z_p=np.vstack([u_p, y_p]),
+    # f + p windows each: the first p are the past block rows, the rest the future
+    win_u, win_y = hankel_windows(u, n), hankel_windows(y, n)
+    parts = (win_y[p:], win_u[:p], win_y[:p], win_u[p:])     # Y_f, U_p, Y_p, U_f
+    edges = np.cumsum([0] + [w.shape[0] * w.shape[1] for w in parts]).tolist()
+    buf = np.empty((edges[-1], n))
+    for win, a, b in zip(parts, edges, edges[1:]):
+        buf[a:b].reshape(win.shape)[...] = win
+    y_f, u_p, y_p, u_f = (buf[a:b] for a, b in zip(edges, edges[1:]))
+    data = HankelData(
+        y_f=y_f, u_f=u_f, u_p=u_p, y_p=y_p, z_p=buf[edges[1]:edges[3]],
         f=f, p=p, n_cols=n, n_i=u.shape[1], n_o=y.shape[1],
     )
+    vars(data)["stacked"] = buf     # the stacked property's cache
+    return data
 
 
 def residues(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray) -> np.ndarray:
@@ -184,7 +206,7 @@ def ls_estimate(data: HankelData) -> LsEstimate:
     otherwise NumericalError reports the condition number. Singular values
     below RCOND * s_max are treated as zero in the solve.
     """
-    reg = np.vstack([data.z_p, data.u_f])
+    reg = data.stacked[data.y_f.shape[0]:]    # [Z_p; U_f]
     coeff, _, _, svals = np.linalg.lstsq(reg.T, data.y_f.T, rcond=RCOND)
     if svals[-1] <= RCOND * svals[0]:
         cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
@@ -195,10 +217,7 @@ def ls_estimate(data: HankelData) -> LsEstimate:
     n_past = data.z_p.shape[0]
     h_fp_hat = coeff[:, :n_past]
     h_f_hat = coeff[:, n_past:]
-    return LsEstimate(
-        h_fp_hat=h_fp_hat, h_f_hat=h_f_hat,
-        residues=residues(data, h_fp_hat, h_f_hat),
-    )
+    return LsEstimate(h_fp_hat=h_fp_hat, h_f_hat=h_f_hat, data=data)
 
 
 def _chol_psd(m: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ __all__ = [
     "SelectorPair",
     "vec",
     "build_hankel",
+    "hankel_windows",
     "build_selectors",
     "psd_sqrt",
     "pseudo_det",
@@ -29,6 +30,14 @@ __all__ = [
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-major vectorisation of a matrix."""
     return np.asarray(m, dtype=float).ravel(order="F")
+
+
+def hankel_windows(signal: np.ndarray, cols: int) -> np.ndarray:
+    """Read-only (T - cols + 1, d, cols) view w of a (T, d) signal with
+    w[m, c, l] = signal[m + l, c]: block rows start..start+k-1 of a Hankel
+    matrix with `cols` columns are w[start:start + k], each block's d rows
+    stacked."""
+    return np.lib.stride_tricks.sliding_window_view(signal, cols, axis=0)
 
 
 def build_hankel(signal, block_rows: int, cols: int, start: int = 0) -> np.ndarray:
@@ -46,7 +55,8 @@ def build_hankel(signal, block_rows: int, cols: int, start: int = 0) -> np.ndarr
         Index of the sample placed in the top-left block.
 
     Block (k, l) equals signal[start + k + l], so every anti-diagonal of
-    blocks is constant.
+    blocks is constant. The result is a C-contiguous copy of
+    hankel_windows(signal, cols)[start:start + block_rows].
     """
     s = np.asarray(signal, dtype=float)
     if s.ndim == 1:
@@ -59,10 +69,10 @@ def build_hankel(signal, block_rows: int, cols: int, start: int = 0) -> np.ndarr
         raise DataError(
             f"signal too short: need {need} samples from index {start}, have {t}"
         )
-    idx = start + np.arange(block_rows)[:, None] + np.arange(cols)[None, :]
-    # (block_rows, cols, d) -> (block_rows, d, cols) -> stack the d rows per block
-    out = s[idx].transpose(0, 2, 1)
-    return out.reshape(block_rows * s.shape[1], cols)
+    out = np.empty((block_rows * s.shape[1], cols))
+    out.reshape(block_rows, s.shape[1], cols)[...] = \
+        hankel_windows(s, cols)[start:start + block_rows]
+    return out
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,21 @@ def test_gamma_draw_mean_and_covariance():
     assert np.all(np.abs(emp_cov - cov_ref) <= 4.5 * se_cov)
 
 
+def test_gamma_draw_is_the_mean_plus_its_replayed_normals():
+    # the law test above cannot tell xi L^-1 from xi L^-T; replaying the
+    # draw's normals can: draw - mean = g_bar xi L^-1 with L L' the precision
+    _, _, state = _state(rank=2)
+    state.g_f = toeplitz_from_col([1.3, -0.6, 0.25])
+    g_bar = state.g_f / 1.3
+    mean, chol = _gamma_hf_parts(state)
+    inv_l = np.linalg.inv(chol)
+    for seed in range(5):
+        _, (gamma_draw, h_draw) = step_gamma_hf(state, np.random.default_rng(seed))
+        noise = g_bar @ np.random.default_rng(seed).standard_normal(mean.shape) @ inv_l
+        assert np.abs(gamma_draw - mean[:, :2] - noise[:, :2]).max() <= 1e-12
+        assert np.abs(h_draw - toeplitz_project(mean[:, 2:] + noise[:, 2:])).max() <= 1e-12
+
+
 # ------------------------------------------------------------ noise factor
 
 def test_omega_matrices_match_dense_kronecker_forms():
@@ -301,6 +316,22 @@ def test_invert_toeplitz_symbol_gives_the_inverse():
         p = _invert_toeplitz_symbol(q)
         prod = toeplitz_from_col(q) @ toeplitz_from_col(p)
         assert np.abs(prod - np.eye(n)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
+def test_noise_update_form_not_positive_definite_is_a_numerical_error(variant):
+    # a zero residue gives a zero quadratic form; the direct LAPACK call must
+    # raise the typed error that single_run retries on, not LinAlgError
+    _, _, state = _state(rank=2)
+    with pytest.raises(NumericalError, match="quadratic form not positive definite"):
+        step_gf(state, np.zeros((3, 40)), np.random.default_rng(0), variant)
+    with pytest.raises(NumericalError, match="quadratic form not positive definite"):
+        _gf_from_nu(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.3, 1.2]))
+
+
+def test_toeplitz_symbol_with_a_zero_lead_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="symbol is singular"):
+        _invert_toeplitz_symbol(np.array([0.0, 1.0, 0.5]))
 
 
 def test_gf_change_of_variables():

@@ -5,6 +5,8 @@ import pytest
 
 from sidshrink.dataio import (
     _header_lines,
+    _parse_rows,
+    _read_lines,
     format_float,
     read_matrices,
     read_timeseries,
@@ -242,6 +244,17 @@ def test_reader_equals_the_per_line_parser(tmp_path):
         assert _same_bits(u, u_ref) and _same_bits(y, y_ref)
         assert meta == meta_ref
     assert u.shape == (6, 2) and np.signbit(u[1, 0]) and np.isnan(y[2, 0])
+
+
+def test_parse_rows_equals_the_array_conversion(tmp_path):
+    # the float() pass gives the bits of np.array(strings, dtype=float)
+    hand = tmp_path / "hand.csv"
+    hand.write_bytes(HAND_WRITTEN.encode("utf-8"))
+    for path, n_cols in ((_record(tmp_path), 2), (hand, 3)):
+        _, body = _read_lines(path)
+        values = ",".join(line for _, line in body[1:]).split(",")
+        ref = np.array(values, dtype=float).reshape(-1, n_cols)
+        assert _same_bits(_parse_rows(path, body[1:], n_cols), ref)
 
 
 @pytest.mark.parametrize("body, line", [

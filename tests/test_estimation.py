@@ -18,9 +18,11 @@ from sidshrink.estimation import (
     order_heuristic_neff,
     order_midpoint,
     rank_star,
+    residues,
     truncate_estimate,
     weighted_svd,
 )
+from sidshrink.linalg import build_hankel
 from sidshrink.shrinkage import soft_threshold_level
 from sidshrink.systems import true_decomposition
 
@@ -77,6 +79,33 @@ def test_assemble_boundary_and_errors():
         assemble(np.arange(6.0), np.arange(5.0), f=2, p=2)
     with pytest.raises(ValueError):
         assemble(np.arange(6.0), np.arange(6.0), f=0, p=2)
+
+
+@pytest.mark.parametrize("n_i, n_o, one_dim", [(1, 1, True), (1, 1, False), (2, 2, False)])
+def test_assemble_blocks_are_row_views_of_one_buffer(n_i, n_o, one_dim):
+    rng = np.random.default_rng(5 + n_i)
+    t, f, p = 57, 4, 3
+    u = rng.standard_normal((t, n_i))
+    y = rng.standard_normal((t, n_o))
+    data = assemble(u[:, 0] if one_dim else u, y[:, 0] if one_dim else y, f, p)
+    n = t - f - p + 1
+    buf = data.stacked
+    assert buf.flags.c_contiguous and buf.shape == ((f + p) * (n_i + n_o), n)
+    for block in (data.y_f, data.u_p, data.y_p, data.z_p, data.u_f):
+        assert block.base is buf
+    # [Y_f; U_p; Y_p; U_f], each block bit for bit the build_hankel copy
+    same = np.vstack([build_hankel(y, f, n, p), build_hankel(u, p, n, 0),
+                      build_hankel(y, p, n, 0), build_hankel(u, f, n, p)])
+    assert np.array_equal(buf.view(np.uint64), same.view(np.uint64))
+    assert np.array_equal(data.z_p, np.vstack([data.u_p, data.y_p]))
+
+
+def test_ls_residues_are_formed_on_read():
+    data = _random_dataset(4)
+    ls = ls_estimate(data)
+    assert "residues" not in vars(ls)
+    assert np.array_equal(ls.residues, residues(data, ls.h_fp_hat, ls.h_f_hat))
+    assert ls.residues is ls.residues
 
 
 # -------------------------------------------------------------- ls_estimate

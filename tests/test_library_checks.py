@@ -1,7 +1,8 @@
 """Library code reports bad input and broken invariants with the typed errors
 of sidshrink.errors: an assert statement is stripped under `python -O`. Every
 name that the package or one of its modules exports resolves. The Gibbs chain
-calls its steps through the names the benchmark's tracer wraps."""
+calls its steps through the names the benchmark's tracer wraps, and its
+iteration calls no numpy.linalg or scipy.linalg wrapper but psd_sqrt's eigh."""
 import ast
 import collections
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sidshrink
 from sidshrink import bayes
@@ -61,3 +63,31 @@ def test_chain_calls_its_steps_through_the_bayes_module_names(variant, monkeypat
     bayes.run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
                     bayes.GibbsConfig(rank=1, n_total=n, n_burn=1, gf_variant=variant), rng)
     assert counts == {"step_gf": n - 1, "psd_sqrt": n - 1, "toeplitz_project": n}
+
+
+def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
+    """Each iteration calls LAPACK directly; the one numpy.linalg call left
+    is the eigh inside psd_sqrt."""
+    rng = np.random.default_rng(3)
+    t = 80
+    u = rng.standard_normal(t)
+    y = np.convolve(u, [0.0, 1.0, 0.5])[:t] + 0.3 * rng.standard_normal(t)
+    data = assemble(u, y, 4, 4)
+    ls = ls_estimate(data)
+    state = bayes.init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 2)
+    monkeypatch.setattr(bayes, "init_gibbs", lambda *args: state)
+
+    def banned(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the chain called {name}")
+        return call
+
+    for module in (np.linalg, scipy.linalg):
+        for name in getattr(module, "__all__", dir(module)):
+            if name != "eigh" and callable(getattr(module, name, None)) \
+                    and not isinstance(getattr(module, name), type):
+                monkeypatch.setattr(module, name, banned(f"{module.__name__}.{name}"))
+    for variant in ("independent", "hankel_exact"):
+        est = bayes.run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
+                              bayes.GibbsConfig(rank=2, n_total=6, gf_variant=variant), rng)
+        assert np.isfinite(est.h_fp_bayes).all()

@@ -39,6 +39,18 @@ def test_hankel_vector_signal_row_layout():
     assert np.array_equal(h[3], [11, 12, 13])
 
 
+def test_hankel_is_the_gathered_layout_bit_for_bit():
+    # the window copy equals the fancy-index gather it replaced
+    rng = np.random.default_rng(8)
+    for d, rows, cols, start in [(1, 3, 40, 2), (2, 5, 17, 0), (3, 1, 1, 4), (1, 20, 1961, 20)]:
+        s = rng.standard_normal((start + rows + cols - 1 + 3, d))
+        idx = start + np.arange(rows)[:, None] + np.arange(cols)[None, :]
+        ref = s[idx].transpose(0, 2, 1).reshape(rows * d, cols)
+        h = build_hankel(s, rows, cols, start)
+        assert h.flags.c_contiguous and not np.shares_memory(h, s)
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+
 def test_hankel_length_guard():
     with pytest.raises(DataError):
         build_hankel(np.arange(5.0), block_rows=3, cols=4)

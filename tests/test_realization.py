@@ -9,6 +9,7 @@ import scipy.linalg
 
 from _util import quiet_decomposition, simulate_per_step
 from sidshrink import bench, cli, estimation
+from sidshrink.bayes import GibbsConfig
 from sidshrink.bench import BenchConfig, draw_realization, single_run
 from sidshrink.dataio import read_timeseries
 from sidshrink.errors import NumericalError
@@ -179,6 +180,23 @@ def test_single_run_scores_the_drawn_realization():
         assert np.array_equal(payload.u, draw.u) and np.array_equal(payload.y, draw.y)
         assert np.array_equal(payload.h_fp_true,
                               true_decomposition(draw.model, draw.f, draw.p).h_fp)
+
+
+def test_single_run_spawns_each_attempts_streams_once(monkeypatch):
+    calls = []
+    streams = bench._streams
+    monkeypatch.setattr(bench, "_streams", lambda *a: calls.append(a) or streams(*a))
+    cfg = BenchConfig(runs=3, methods=("heuristic_neff", "bayes"), seed=0,
+                      gibbs=GibbsConfig(rank=1, n_total=6))
+    record, payload = single_run(cfg, 2, keep_payload=True)
+    assert calls == [(0, 2, a) for a in range(record.attempts)]
+    # the chain still reads the attempt's second stream
+    attempt = record.attempts - 1
+    chain = np.random.default_rng(np.random.SeedSequence([0, 2, attempt]).spawn(2)[1])
+    draw = draw_realization(0, 2, attempt)
+    ident = bench.identify(assemble(draw.u, draw.y, draw.f, draw.p), cfg.scheme,
+                           cfg.methods, cfg.gibbs, chain)
+    assert np.array_equal(payload.estimates["bayes"], ident.estimates["bayes"])
 
 
 def _no_identify(*args, **kwargs):
