@@ -9,6 +9,7 @@ next attempt without disturbing other runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -119,7 +120,8 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class RunPayload:
-    """Raw realization data kept only on request (CLI simulate, tests)."""
+    """Raw realization data, kept only on request; perfbench and the tests
+    read it."""
     model: object
     snr: float
     u: np.ndarray
@@ -285,11 +287,6 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
         f"run {run_id} failed {MAX_ATTEMPTS} attempts; last error: {last_error}")
 
 
-def _run_record(args) -> RunRecord:
-    config, run_id = args
-    return single_run(config, run_id)
-
-
 def run_benchmark(config: BenchConfig) -> RiskReport:
     """Execute all runs (optionally in a process pool) and aggregate.
 
@@ -297,14 +294,13 @@ def run_benchmark(config: BenchConfig) -> RiskReport:
     effective-rank heuristic; the reference row is exactly 1.
     """
     start = time.perf_counter()
-    jobs = [(config, rid) for rid in range(config.runs)]
+    run = functools.partial(single_run, config)
     if config.parallelism > 1:
         chunk = max(1, config.runs // (4 * config.parallelism))
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            records = list(pool.map(_run_record, jobs, chunksize=chunk))
+            records = list(pool.map(run, range(config.runs), chunksize=chunk))
     else:
-        records = [_run_record(job) for job in jobs]
-    records.sort(key=lambda r: r.run_id)
+        records = list(map(run, range(config.runs)))
     wall = time.perf_counter() - start
 
     refs = np.array([r.risks[REFERENCE_METHOD] for r in records])

@@ -26,6 +26,9 @@ __all__ = [
     "toeplitz_from_col",
 ]
 
+_PD_REL = 1e-12     # psd_sqrt inverts only above this share of the top eigenvalue
+_RANK_REL = 1e-10   # pseudo_det keeps singular values above this share of s_max
+
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-major vectorisation of a matrix."""
@@ -110,19 +113,19 @@ def build_selectors(i: int, n: int) -> SelectorPair:
     return SelectorPair(b_t=b_t, b_w=b_w, i=i, n=n)
 
 
-def psd_sqrt(m: np.ndarray, inverse: bool = False, tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
     Eigenvalues below zero (rounding noise) are clipped to zero. With
     inverse=True the inverse square root is returned and the matrix must be
-    positive definite: a minimum eigenvalue at or below tol * max(|eig|)
+    positive definite: a minimum eigenvalue at or below _PD_REL * max(|eig|)
     raises NumericalError.
     """
     a = np.asarray(m, dtype=float)
     a = (a + a.T) / 2.0
     w, v = np.linalg.eigh(a)
     if inverse:
-        floor = tol * max(abs(w[-1]), np.finfo(float).tiny)
+        floor = _PD_REL * max(abs(w[-1]), np.finfo(float).tiny)
         if w[0] <= floor:
             raise NumericalError(
                 f"matrix not positive definite: min eigenvalue {w[0]:.3e}"
@@ -134,8 +137,8 @@ def psd_sqrt(m: np.ndarray, inverse: bool = False, tol: float = 1e-12) -> np.nda
     return (out + out.T) / 2.0
 
 
-def pseudo_det(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Product of singular values above tol * s_max (pseudo-determinant).
+def pseudo_det(m: np.ndarray) -> float:
+    """Product of singular values above _RANK_REL * s_max (pseudo-determinant).
 
     The all-zero matrix returns 1.0 (empty product convention).
     """
@@ -143,7 +146,7 @@ def pseudo_det(m: np.ndarray, tol: float = 1e-10) -> float:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 1.0
-    keep = s[s > tol * s[0]]
+    keep = s[s > _RANK_REL * s[0]]
     return float(np.prod(keep))
 
 

@@ -8,6 +8,7 @@ piecewise-quadratic minimiser.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -30,11 +31,6 @@ __all__ = [
 ]
 
 METHODS = ("hard", "soft", "optimal", "sure")
-
-# relative gap below which squared singular values count as degenerate
-_DEGENERATE_REL = 1e-12
-_JITTER_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class ShrinkageContext:
@@ -103,20 +99,6 @@ def shrink_values(s, ctx: ShrinkageContext, method: str) -> np.ndarray:
     raise ValueError(f"unknown shrinkage method {method!r}")
 
 
-def _deduped(s: np.ndarray) -> np.ndarray:
-    """Break near-degenerate squared singular-value gaps with a tiny
-    deterministic relative jitter, so the divided differences in the risk
-    formula stay finite. Ties among zero squares are left alone (no divided
-    difference pairs them), so a second call returns its input."""
-    s2 = s * s
-    diff = np.abs(s2[:, None] - s2[None, :])
-    thresh = _DEGENERATE_REL * np.maximum(s2[:, None], s2[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if np.any((diff < np.maximum(thresh, np.finfo(float).tiny)) & (thresh > 0)):
-        return s * (1.0 + _JITTER_REL * np.arange(s.size))
-    return s
-
-
 def _check_sizes(s: np.ndarray, i: int, j: int) -> None:
     if s.size != i:
         raise ValueError("length of s must equal i")
@@ -124,54 +106,69 @@ def _check_sizes(s: np.ndarray, i: int, j: int) -> None:
         raise ValueError("need i <= j")
 
 
+@functools.lru_cache(maxsize=None)
+def _piece_masks(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """For k = 0..n: [a < k] over a = 0..n-1, and [b >= k] over b = 0..i-1."""
+    before = np.triu(np.ones((n, n + 1), dtype=bool), 1)
+    from_k = np.tril(np.ones((i, n + 1)))
+    for mask in (before, from_k):
+        mask.setflags(write=False)  # shared by every call with these sizes
+    return before, from_k
+
+
+def _piece_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums that fix the unbiased risk on the piece where the k largest
+    positive values t of s are active, for k = 0..len(t).
+
+    With t and all values s_b in descending order, returns t ascending and
+    the rows, indexed by k,
+
+        inv[k]      = sum_{a<k} 1/t_a
+        pair[k]     = sum_{a<b<k} 1/(t_a + t_b)
+        cross_m[k]  = sum_{a<k<=b} t_a^m / (t_a^2 - s_b^2),  m = 1, 2
+        tail[k]     = sum_{b>=k} s_b^2
+
+    An active pair's two divided differences sum exactly to
+    1 - lam/(t_a + t_b), and an active t_a exceeds every inactive s_b, so no
+    term divides by a near-zero gap. cross is exact only at the k that keep
+    tied values together, the only k a threshold selects.
+    """
+    s_desc = np.sort(s)[::-1]
+    t = s_desc[:np.count_nonzero(s_desc > 0)]
+    n = t.size
+    before, from_k = _piece_masks(n, s.size)
+    t2 = t * t
+    gap = t2[:, None] - s_desc ** 2
+    inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+    pair = np.sum(1.0 / (t[:, None] + t), axis=0, where=before[:, :n])
+    sums = np.empty((5, n + 1))
+    sums[:2] = np.array([1.0 / t, pair]) @ before
+    sums[2:4] = np.array([t, t2]) @ np.where(before, inv_gap @ from_k, 0.0)
+    sums[4] = t2 @ from_k[:n]
+    return t[::-1], sums
+
+
+def _piece_risk(ascending: np.ndarray, sums: np.ndarray, lam, sigma: float, i: int, j: int):
+    """Unbiased risk of soft thresholding at each level in lam."""
+    k = ascending.size - np.searchsorted(ascending, lam, side="right")
+    inv, pair, cross_1, cross_2, tail = sums[:, k]
+    # k self terms, and each active pair twice (divergence of the SVD map):
+    # the Monte Carlo unbiasedness oracle rejects the single-count reading
+    div = ((j - i) * (k - lam * inv) + k * k - 2.0 * lam * pair
+           + 2.0 * (cross_2 - lam * cross_1))
+    return -i * j * sigma * sigma + k * lam * lam + tail + 2.0 * sigma * sigma * div
+
+
 def sure_risk(s, lam: float, sigma: float, i: int, j: int) -> float:
     """Unbiased risk estimate of soft thresholding at level lam.
 
     s is the descending singular-value vector of the observed matrix
-    (length i, i <= j). Zero singular values contribute nothing to the
-    divergence terms.
+    (length i, i <= j). Zero singular values are never active, but they
+    enter the divided differences of the active ones.
     """
-    s = _deduped(np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
     _check_sizes(s, i, j)
-    value = -i * j * sigma * sigma + float(np.sum(np.minimum(lam * lam, s * s)))
-    active = s > lam
-    if not np.any(active):
-        return value
-    t = s[active]
-    div = (j - i) * float(np.sum(1.0 - lam / t)) + int(np.sum(active))
-    s2 = s * s
-    t2 = t * t
-    denom = t2[:, None] - s2[None, :]
-    # skip the self pair; zero singular values still appear in the sum
-    mask = np.abs(denom) > 0
-    cross = np.where(mask, 1.0 / np.where(mask, denom, 1.0), 0.0)
-    self_idx = np.nonzero(active)[0]
-    cross[np.arange(t.size), self_idx] = 0.0
-    # the pair sum carries multiplicity two (divergence of the SVD map);
-    # the Monte Carlo unbiasedness oracle rejects the single-count reading
-    div += 2.0 * float(np.sum(t[:, None] * (t - lam)[:, None] * cross))
-    return value + 2.0 * sigma * sigma * div
-
-
-def _active_sums(s: np.ndarray):
-    """Sums over the k largest positive values t of s, for k = 0..len(t).
-
-    Returns (t ascending, sum 1/t, sum t c, sum t^2 c, sum of t^2 over the
-    values left out), each sum indexed by k, where
-    c_a = sum_b 1/(s_a^2 - s_b^2) over the b with s_b^2 != s_a^2 does not
-    depend on the threshold.
-    """
-    s2 = s * s
-    gap = s2[:, None] - s2[None, :]
-    nonzero = gap != 0
-    c = np.where(nonzero, 1.0 / np.where(nonzero, gap, 1.0), 0.0).sum(axis=1)
-    order = np.argsort(-s, kind="stable")[:np.count_nonzero(s > 0)]
-    t, tc = s[order], s[order] * c[order]
-    inv_sum = np.concatenate([[0.0], np.cumsum(1.0 / t)])
-    tc_sum = np.concatenate([[0.0], np.cumsum(tc)])
-    t2c_sum = np.concatenate([[0.0], np.cumsum(t * tc)])
-    tail_sq = np.concatenate([np.cumsum(t[::-1] ** 2)[::-1], [0.0]])
-    return t[::-1], inv_sum, tc_sum, t2c_sum, tail_sq
+    return float(_piece_risk(*_piece_sums(s), lam, sigma, i, j))
 
 
 def sure_select(s, sigma: float, i: int, j: int) -> float:
@@ -181,26 +178,22 @@ def sure_select(s, sigma: float, i: int, j: int) -> float:
     values; the minimiser is found from the breakpoints plus the interior
     stationary point of each piece. Ties resolve toward the larger lam.
     A lam keeps the k values above it active, so the stationary points and
-    the risk at every candidate come from prefix sums over the values in
-    descending order.
+    the risk at every candidate come from the sums of `_piece_sums`.
     """
-    s = _deduped(np.asarray(s, dtype=float))
-    s_max = float(s.max(initial=0.0))
-    if s_max <= 0.0:
+    s = np.asarray(s, dtype=float)
+    if float(s.max(initial=0.0)) <= 0.0:
         return 0.0
     _check_sizes(s, i, j)
-    ascending, inv_sum, tc_sum, t2c_sum, tail_sq = _active_sums(s)
+    ascending, sums = _piece_sums(s)
     knots = np.unique(ascending)
     lo = np.concatenate([[0.0], knots[:-1]])
     # on the piece (lo, hi) the active values are those >= hi
     count = ascending.size - np.searchsorted(ascending, knots, side="left")
-    lam_star = sigma * sigma * ((j - i) * inv_sum[count] + 2.0 * tc_sum[count]) / count
+    inv, pair, cross_1 = sums[:3, count]
+    lam_star = sigma * sigma * ((j - i) * inv + 2.0 * (pair + cross_1)) / count
     inside = (lo < lam_star) & (lam_star < knots)
     lam = np.sort(np.concatenate([[0.0], knots, lam_star[inside]]))
-    k = ascending.size - np.searchsorted(ascending, lam, side="right")
-    div = ((j - i) * (k - lam * inv_sum[k]) + k
-           + 2.0 * (t2c_sum[k] - lam * tc_sum[k]))
-    risk = -i * j * sigma * sigma + k * lam * lam + tail_sq[k] + 2.0 * sigma * sigma * div
+    risk = _piece_risk(ascending, sums, lam, sigma, i, j)
     return float(lam[np.flatnonzero(risk == risk.min())[-1]])
 
 

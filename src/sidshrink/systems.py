@@ -32,6 +32,10 @@ __all__ = [
     "true_decomposition",
 ]
 
+_RICCATI_TOL = 1e-12   # relative change of P at which kalman_gain stops
+_SAMPLE_TRIES = 50     # draws sample_system makes before it gives up
+_BURN_IN_CAP = 10000   # longest burn-in default_burn_in returns
+
 
 @dataclass(frozen=True)
 class StateSpaceModel:
@@ -86,7 +90,7 @@ class TrueDecomposition:
     p: int
 
 
-def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
+def kalman_gain(a, c, r_w, r_v, max_iter: int = 10000):
     """Steady-state Kalman gain by structured doubling.
 
     Solves P = A P A' - A P C' (C P C' + R_v)^-1 C P A' + R_w. Doubling step
@@ -96,8 +100,8 @@ def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
         W = I + G P,  E' = E W^-1 E,  G' = G + E W^-1 G E',  P' = P + E' P W^-1 E
 
     from E = A', G = C' R_v^-1 C, P = R_w, until the relative Frobenius change
-    of P is at or below tol. R_v must be nonsingular. Returns (k, sigma) with
-    sigma = C P C' + R_v and k = A P C' sigma^-1.
+    of P is at or below _RICCATI_TOL. R_v must be nonsingular. Returns
+    (k, sigma) with sigma = C P C' + R_v and k = A P C' sigma^-1.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -125,7 +129,7 @@ def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
         e = e @ w_e
         residual = float(np.linalg.norm(p_new - p))
         p = p_new
-        if residual <= tol * np.linalg.norm(p_new):
+        if residual <= _RICCATI_TOL * np.linalg.norm(p_new):
             sigma = c @ p @ c.T + r_v
             k = np.linalg.solve(sigma, (a @ p @ c.T).T).T
             return k, sigma
@@ -134,7 +138,7 @@ def kalman_gain(a, c, r_w, r_v, tol: float = 1e-12, max_iter: int = 10000):
     raise NumericalError(f"Riccati doubling did not converge: last residual {residual:.3e}")
 
 
-def sample_system(spec: SystemSpec, rng: np.random.Generator, max_retries: int = 50):
+def sample_system(spec: SystemSpec, rng: np.random.Generator):
     """Draw a random stable system plus benchmark sizes.
 
     Returns (model, snr, n_samples, i_horizon) where snr is the input
@@ -144,10 +148,11 @@ def sample_system(spec: SystemSpec, rng: np.random.Generator, max_retries: int =
     A is a standard normal matrix rescaled so its spectral radius equals a
     Uniform(0,1) draw; B, C are standard normal; D = 0; noise covariances are
     M M' for standard normal half-matrices M. Draws that produce a
-    numerically nilpotent A or a failing Riccati solve are resampled.
+    numerically nilpotent A or a failing Riccati solve are resampled, up to
+    _SAMPLE_TRIES draws in all.
     """
     lo, hi = spec.nx_range
-    for _ in range(max_retries):
+    for _ in range(_SAMPLE_TRIES):
         n_x = int(rng.integers(lo, hi + 1))
         a_raw = rng.standard_normal((n_x, n_x))
         lam_a = rng.uniform(0.0, 1.0)
@@ -175,16 +180,16 @@ def sample_system(spec: SystemSpec, rng: np.random.Generator, max_retries: int =
         )
         n_samples = int(math.floor(80.0 * math.sqrt(n_x)))
         return model, snr, n_samples, n_samples // 10
-    raise NumericalError(f"no valid system after {max_retries} attempts")
+    raise NumericalError(f"no valid system after {_SAMPLE_TRIES} attempts")
 
 
-def default_burn_in(model: StateSpaceModel, cap: int = 10000) -> int:
+def default_burn_in(model: StateSpaceModel) -> int:
     """Burn-in long enough for near-stationarity: 10 ceil(1/(1-rho)),
-    capped."""
+    capped at _BURN_IN_CAP."""
     rho = model.spectral_radius()
     if rho >= 1.0:
-        return cap
-    return int(min(cap, 10 * math.ceil(1.0 / (1.0 - rho))))
+        return _BURN_IN_CAP
+    return int(min(_BURN_IN_CAP, 10 * math.ceil(1.0 / (1.0 - rho))))
 
 
 def simulate(model: StateSpaceModel, inputs, rng: np.random.Generator,

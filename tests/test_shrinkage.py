@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sidshrink.shrinkage import (
-    _deduped,
     make_context,
     shrink_estimate,
     shrink_values,
@@ -178,11 +177,53 @@ def test_sure_select_beats_dense_grid_with_several_zero_values():
     assert val_star <= min(grid_vals) + 1e-7 * max(1.0, abs(min(grid_vals)))
 
 
-def test_deduped_is_idempotent():
-    for s in ([3.0, 3.0, 2.0], [5.0, 2.0, 0.0, 0.0], [4.0, 4.0, 0.0, 0.0, 0.0]):
-        once = _deduped(np.asarray(s))
-        assert np.array_equal(_deduped(once), once)
-    assert np.array_equal(_deduped(np.array([5.0, 2.0, 0.0, 0.0])), [5.0, 2.0, 0.0, 0.0])
+def test_sure_select_is_continuous_at_a_duplicate():
+    # a spectrum with an exact duplicate, and the same spectrum with the
+    # duplicate moved by 1e-14 relative, get thresholds 1e-12 s_1 apart at
+    # most: a jitter that splits ties moves the threshold by ~1e-8 s_1
+    rng = np.random.default_rng(21)
+    for _ in range(1000):
+        i = int(rng.integers(2, 20))
+        j = i + int(rng.integers(0, 30))
+        sigma = float(rng.uniform(0.2, 2.0))
+        s = np.sort(rng.lognormal(0.5, 1.0, size=i))[::-1]
+        a = int(rng.integers(0, i - 1))
+        s[a + 1] = s[a]
+        nudged = s.copy()
+        nudged[a + 1] *= 1.0 - 1e-14
+        with np.errstate(divide="raise", invalid="raise"):
+            lam = sure_select(s, sigma, i, j)
+            lam_nudged = sure_select(nudged, sigma, i, j)
+        assert abs(lam - lam_nudged) <= 1e-12 * s[0], (s, sigma, i, j)
+
+
+def _sure_risk_mp(s, lam, sigma, i, j):
+    """The textbook estimate at 50 digits, ties among positive values split
+    by 1e-30 relative so every divided difference is finite."""
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(float(x)) * (1 - mpmath.mpf(10) ** -30 * a) if x > 0
+             else mpmath.mpf(0) for a, x in enumerate(s)]
+        lam, sigma = mpmath.mpf(lam), mpmath.mpf(sigma)
+        value = -i * j * sigma ** 2 + sum(min(lam ** 2, x ** 2) for x in s)
+        div = 0
+        for a, t in enumerate(s):
+            if t > lam:
+                div += 1 + (j - i) * (1 - lam / t)
+                div += 2 * sum(t * (t - lam) / (t ** 2 - x ** 2)
+                               for b, x in enumerate(s) if b != a)
+        return float(value + 2 * sigma ** 2 * div)
+
+
+@pytest.mark.parametrize("s, lam, sigma, j", [
+    ([3.0, 3.0, 2.0], 1.5, 1.0, 8),
+    ([3.0, 3.0, 2.0], 2.0, 0.5, 3),
+    ([5.0, 2.0, 2.0, 2.0, 0.0], 1.0, 0.7, 9),
+    ([4.0, 4.0, 1.0, 0.0, 0.0], 0.5, 1.3, 5),
+    ([4.0, 4.0, 1.0, 0.0, 0.0], 4.0, 1.3, 5),
+])
+def test_sure_risk_with_duplicates_and_zeros_matches_high_precision(s, lam, sigma, j):
+    expect = _sure_risk_mp(s, lam, sigma, len(s), j)
+    assert sure_risk(s, lam, sigma, len(s), j) == pytest.approx(expect, rel=1e-12)
 
 
 def test_sure_select_zeroes_pure_noise():
@@ -202,6 +243,26 @@ def test_sure_select_keeps_dominant_value():
     assert lam_star < 60.0
     kept = np.maximum(s - lam_star, 0.0)
     assert kept[0] > 50.0
+
+
+# the per-piece reference splits tied values with this jitter, so its c_a
+# stay finite
+_DEGENERATE_REL = 1e-12
+_JITTER_REL = 1e-9
+
+
+def _deduped(s: np.ndarray) -> np.ndarray:
+    """Break near-degenerate squared singular-value gaps with a tiny
+    deterministic relative jitter, so the divided differences in the risk
+    formula stay finite. Ties among zero squares are left alone (no divided
+    difference pairs them), so a second call returns its input."""
+    s2 = s * s
+    diff = np.abs(s2[:, None] - s2[None, :])
+    thresh = _DEGENERATE_REL * np.maximum(s2[:, None], s2[None, :])
+    np.fill_diagonal(diff, np.inf)
+    if np.any((diff < np.maximum(thresh, np.finfo(float).tiny)) & (thresh > 0)):
+        return s * (1.0 + _JITTER_REL * np.arange(s.size))
+    return s
 
 
 def _sure_select_per_piece(s, sigma, i, j):
