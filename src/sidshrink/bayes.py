@@ -59,8 +59,8 @@ class GibbsConfig:
 @dataclass
 class GibbsState:
     """The sampled blocks (gamma_f, h_f), l_p and g_f; the rest stays fixed
-    for the whole chain: the data enter as the Gram blocks of stacked =
-    [Y_f; Z_p; U_f] (yz = Y_f Z_p', ...), as y_zpinv = Y_f Z_p^+ and
+    for the whole chain: the data enter as the Gram blocks of the stacked
+    [Y_f; Z_p; U_f] rows (yz = Y_f Z_p', ...), as y_zpinv = Y_f Z_p^+ and
     u_zpinv = U_f Z_p^+ (formed as yz (R'R)^-1 and uz (R'R)^-1), and as
     z_factor, the triangular R of Z_p with R'R = Z_p Z_p'."""
 
@@ -73,7 +73,6 @@ class GibbsState:
     lambda_l: np.ndarray
     selectors: SelectorPair
     z_factor: np.ndarray
-    stacked: np.ndarray
     yz: np.ndarray
     yu: np.ndarray
     zz: np.ndarray
@@ -116,12 +115,11 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     gamma = u[:, :rank] * root
     l_p = scipy.linalg.solve_triangular(z_factor, (root[:, None] * vt[:rank]).T).T
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
-    stacked = data.stacked
-    gram = stacked @ stacked.T
-    q = i + data.z_p.shape[0]     # Z_p rows of the stack are i..q-1
+    gram = data.stacked @ data.stacked.T
+    y, z, u = data.row_slices
     # (Z_p Z_p')^-1 from R alone: Y_f or U_f may hold NaN, which the chain
     # reports at its first iteration
-    zz_inv = scipy.linalg.cho_solve((z_factor, False), np.eye(q - i))
+    zz_inv = scipy.linalg.cho_solve((z_factor, False), np.eye(z_factor.shape[0]))
     return GibbsState(
         gamma_f=gamma,
         h_f=toeplitz_project(h_f_hat),
@@ -132,9 +130,8 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         lambda_l=np.diag(j / s_r),
         selectors=build_selectors(i, j),
         z_factor=z_factor,
-        stacked=stacked,
-        yz=gram[:i, i:q], yu=gram[:i, q:], zz=gram[i:q, i:q], zu=gram[i:q, q:], uu=gram[q:, q:],
-        y_zpinv=gram[:i, i:q] @ zz_inv, u_zpinv=gram[q:, i:q] @ zz_inv,
+        yz=gram[y, z], yu=gram[y, u], zz=gram[z, z], zu=gram[z, u], uu=gram[u, u],
+        y_zpinv=gram[y, z] @ zz_inv, u_zpinv=gram[u, z] @ zz_inv,
     )
 
 
@@ -326,9 +323,9 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     diagnostics = [_frobenius(state.gamma_f @ state.l_p)]
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
     # identity block is filled once, the others each iteration
-    q = data.f + data.z_p.shape[0]
-    resid_coef = np.zeros((data.f, state.stacked.shape[0]))
-    resid_coef[:, :data.f] = np.eye(data.f)
+    y, z, u = data.row_slices
+    resid_coef = np.zeros((data.f, data.stacked.shape[0]))
+    resid_coef[:, y] = np.eye(data.f)
     for n in range(2, config.n_total + 1):
         gamma_mean, (gamma_draw, h_draw) = step_gamma_hf(state, rng)
         # each draw is checked before the next conditional consumes it, so a
@@ -343,9 +340,9 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         state.l_p = l_draw
 
         product = gamma_draw @ l_draw
-        np.negative(product, out=resid_coef[:, data.f:q])
-        np.negative(h_draw, out=resid_coef[:, q:])
-        step_gf(state, resid_coef @ state.stacked, rng, config.gf_variant)
+        np.negative(product, out=resid_coef[:, z])
+        np.negative(h_draw, out=resid_coef[:, u])
+        step_gf(state, resid_coef @ data.stacked, rng, config.gf_variant)
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")

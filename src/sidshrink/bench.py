@@ -122,8 +122,6 @@ class RiskReport:
 class RunPayload:
     """Raw realization data, kept only on request; perfbench and the tests
     read it."""
-    model: object
-    snr: float
     u: np.ndarray
     y: np.ndarray
     f: int
@@ -177,14 +175,15 @@ class Identification:
 
 def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
              gibbs: GibbsConfig, rng: np.random.Generator) -> Identification:
-    """LS estimate, noise, weights, one weighted SVD and r*, then each
-    method's estimate and the rank it kept: the rule's order for a
+    """LS estimate, noise (cva only), weights, one weighted SVD and r*, then
+    each method's estimate and the rank it kept: the rule's order for a
     heuristic, the count of values a shrinker leaves nonzero, r* for bayes.
     The chain runs at rank r* and is the only reader of rng."""
     ls = ls_estimate(data)
-    noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-    weights = build_weights(scheme, data,
-                            g_f_hat=noise.g_f_hat if scheme == "cva" else None)
+    g_f_hat = None
+    if scheme == "cva":
+        g_f_hat = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_f_hat
+    weights = build_weights(scheme, data, g_f_hat=g_f_hat)
     svd = weighted_svd(ls.h_fp_hat, weights)
     rank = rank_star(data, ls, weights, svd)
     ctx = make_context(svd.shape, rank.sigma_level)
@@ -276,8 +275,7 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
                 orders=ident.orders,
             )
             if keep_payload:
-                payload = RunPayload(model=draw.model, snr=draw.snr, u=draw.u, y=draw.y,
-                                     f=draw.f, p=draw.p, h_fp_true=truth.h_fp,
+                payload = RunPayload(u=draw.u, y=draw.y, f=draw.f, p=draw.p, h_fp_true=truth.h_fp,
                                      estimates=ident.estimates, weights=ident.weights)
                 return record, payload
             return record

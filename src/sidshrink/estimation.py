@@ -55,28 +55,50 @@ SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HankelData:
-    """Past/future block Hankel matrices assembled from one realization,
-    stacked, the [Y_f; Z_p; U_f] rows that the LS fit and the Gibbs chain
-    read, and z_factor, the triangular factor of Z_p that the n4sid weights
-    and the Gibbs chain share."""
+    """Past/future block Hankel matrices of one realization: the rows of one
+    stacked [Y_f; Z_p; U_f] array, Z_p = [U_p; Y_p], of which y_f, z_p, u_f
+    and regressor = [Z_p; U_f] are row views formed on first read. Only this
+    class knows that layout; row_slices gives its row ranges. z_factor is
+    the triangular factor of Z_p that the n4sid weights and the Gibbs chain
+    share."""
 
-    y_f: np.ndarray
-    u_f: np.ndarray
-    u_p: np.ndarray
-    y_p: np.ndarray
-    z_p: np.ndarray
+    stacked: np.ndarray
     f: int
     p: int
-    n_cols: int
     n_i: int
     n_o: int
 
+    def __post_init__(self):
+        if self.stacked.shape[0] != (self.f + self.p) * (self.n_i + self.n_o):
+            raise ValueError("stacked must have (f + p)(n_i + n_o) rows")
+
     @functools.cached_property
-    def stacked(self) -> np.ndarray:
-        """[Y_f; Z_p; U_f] as one C-contiguous array. assemble stores the
-        buffer its blocks are row views of here; hand-built data stacks a
-        copy on first read."""
-        return np.vstack([self.y_f, self.z_p, self.u_f])
+    def row_slices(self) -> tuple[slice, slice, slice]:
+        """The rows of Y_f, Z_p and U_f in stacked."""
+        y_end = self.f * self.n_o
+        z_end = y_end + self.p * (self.n_i + self.n_o)
+        return slice(0, y_end), slice(y_end, z_end), slice(z_end, None)
+
+    @functools.cached_property
+    def y_f(self) -> np.ndarray:
+        return self.stacked[self.row_slices[0]]
+
+    @functools.cached_property
+    def z_p(self) -> np.ndarray:
+        return self.stacked[self.row_slices[1]]
+
+    @functools.cached_property
+    def u_f(self) -> np.ndarray:
+        return self.stacked[self.row_slices[2]]
+
+    @functools.cached_property
+    def regressor(self) -> np.ndarray:
+        """[Z_p; U_f], the rows the LS fit regresses Y_f on."""
+        return self.stacked[self.row_slices[1].start:]
+
+    @property
+    def n_cols(self) -> int:
+        return self.stacked.shape[1]
 
     @functools.cached_property
     def z_factor(self) -> np.ndarray:
@@ -135,7 +157,6 @@ class WeightPair:
     noise-level computation; it is None when Z_p Pi Z_p' is singular.
     """
 
-    scheme: str
     w1: np.ndarray
     w2: np.ndarray
     w1_inv: np.ndarray
@@ -186,13 +207,7 @@ def assemble(u, y, f: int, p: int) -> HankelData:
     buf = np.empty((edges[-1], n))
     for win, a, b in zip(parts, edges, edges[1:]):
         buf[a:b].reshape(win.shape)[...] = win
-    y_f, u_p, y_p, u_f = (buf[a:b] for a, b in zip(edges, edges[1:]))
-    data = HankelData(
-        y_f=y_f, u_f=u_f, u_p=u_p, y_p=y_p, z_p=buf[edges[1]:edges[3]],
-        f=f, p=p, n_cols=n, n_i=u.shape[1], n_o=y.shape[1],
-    )
-    vars(data)["stacked"] = buf     # the stacked property's cache
-    return data
+    return HankelData(stacked=buf, f=f, p=p, n_i=u.shape[1], n_o=y.shape[1])
 
 
 def residues(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray) -> np.ndarray:
@@ -206,8 +221,7 @@ def ls_estimate(data: HankelData) -> LsEstimate:
     otherwise NumericalError reports the condition number. Singular values
     below RCOND * s_max are treated as zero in the solve.
     """
-    reg = data.stacked[data.y_f.shape[0]:]    # [Z_p; U_f]
-    coeff, _, _, svals = np.linalg.lstsq(reg.T, data.y_f.T, rcond=RCOND)
+    coeff, _, _, svals = np.linalg.lstsq(data.regressor.T, data.y_f.T, rcond=RCOND)
     if svals[-1] <= RCOND * svals[0]:
         cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
         raise NumericalError(
@@ -325,7 +339,7 @@ def build_weights(scheme: str, data: HankelData,
         w2 = r.T
         w2_pinv = scipy.linalg.solve_triangular(r, np.eye(n_past), lower=False).T
     return WeightPair(
-        scheme=scheme, w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
+        w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
         n_cols=data.n_cols if scheme == "n4sid" else n_past,
         factor1=_max_eig_congruence(zpz, w2),
     )
@@ -349,7 +363,7 @@ def noise_level(weights: WeightPair, g_hat_sq: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WeightedSvd:
-    """The weighted LS estimate m = w1 H w2 and its factorisations, formed
+    """The factorisations of the weighted LS estimate m = w1 H w2, formed
     once per identification and read by r*, the order rules and the
     shrinkers.
 
@@ -360,7 +374,6 @@ class WeightedSvd:
     Z_p, and its further values are rounding noise.
     """
 
-    m: np.ndarray
     shape: tuple[int, int]
     # The order rules and r*'s count read these values-only singular values,
     # not `s`: the two differ by up to 2.7e-15 s_1, and on the 300 cva
@@ -383,7 +396,7 @@ def weighted_svd(h_fp_hat: np.ndarray, weights: WeightPair) -> WeightedSvd:
     if pad > 0:
         values, s = np.pad(values, (0, pad)), np.pad(s, (0, pad))
         u, vt = np.pad(u, ((0, 0), (0, pad))), np.pad(vt, ((0, pad), (0, 0)))
-    return WeightedSvd(m=m, shape=shape, values=values, u=u, s=s, vt=vt)
+    return WeightedSvd(shape=shape, values=values, u=u, s=s, vt=vt)
 
 
 def truncate_estimate(estimate: WeightedSvd | np.ndarray, weights: WeightPair,

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _RICCATI_TOL = 1e-12   # relative change of P at which kalman_gain stops
+_RICCATI_MAX_ITER = 10000   # doubling steps kalman_gain takes before it gives up
 _SAMPLE_TRIES = 50     # draws sample_system makes before it gives up
 _BURN_IN_CAP = 10000   # longest burn-in default_burn_in returns
 
@@ -90,7 +91,7 @@ class TrueDecomposition:
     p: int
 
 
-def kalman_gain(a, c, r_w, r_v, max_iter: int = 10000):
+def kalman_gain(a, c, r_w, r_v):
     """Steady-state Kalman gain by structured doubling.
 
     Solves P = A P A' - A P C' (C P C' + R_v)^-1 C P A' + R_w. Doubling step
@@ -100,8 +101,9 @@ def kalman_gain(a, c, r_w, r_v, max_iter: int = 10000):
         W = I + G P,  E' = E W^-1 E,  G' = G + E W^-1 G E',  P' = P + E' P W^-1 E
 
     from E = A', G = C' R_v^-1 C, P = R_w, until the relative Frobenius change
-    of P is at or below _RICCATI_TOL. R_v must be nonsingular. Returns
-    (k, sigma) with sigma = C P C' + R_v and k = A P C' sigma^-1.
+    of P is at or below _RICCATI_TOL, or NumericalError after _RICCATI_MAX_ITER
+    steps. R_v must be nonsingular. Returns (k, sigma) with sigma = C P C' + R_v
+    and k = A P C' sigma^-1.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -115,7 +117,7 @@ def kalman_gain(a, c, r_w, r_v, max_iter: int = 10000):
         raise NumericalError(f"measurement noise covariance singular: {exc}") from exc
     e, p = a.T, r_w
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         try:
             # W^-1 [E, G] in one solve
             sol = np.linalg.solve(eye + g @ p, np.hstack([e, g]))

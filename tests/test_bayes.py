@@ -72,8 +72,9 @@ def test_init_rejects_multivariable_data():
     rng = np.random.default_rng(1)
     j = 30
     z = rng.standard_normal((8, j))
-    data = HankelData(y_f=rng.standard_normal((4, j)), u_f=rng.standard_normal((4, j)),
-                      u_p=z[:4], y_p=z[4:], z_p=z, f=2, p=2, n_cols=j, n_i=2, n_o=2)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((4, j)), z,
+                                         rng.standard_normal((4, j))]),
+                      f=2, p=2, n_i=2, n_o=2)
     with pytest.raises(ConfigError):
         init_gibbs(rng.standard_normal((4, 8)), rng.standard_normal((4, 4)), data, 1)
 
@@ -108,8 +109,9 @@ def test_init_rejects_a_rank_deficient_z_p():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 50))
     z = np.vstack([z, z[:1]])           # a repeated row
-    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
-                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((2, 50)), z,
+                                         rng.standard_normal((2, 50))]),
+                      f=2, p=2, n_i=1, n_o=1)
     with pytest.raises(NumericalError, match="Gibbs chain: Z_p is rank deficient"):
         init_gibbs(rng.standard_normal((2, 4)), rng.standard_normal((2, 2)), data, 1)
 
@@ -423,9 +425,8 @@ def test_run_gibbs_recovers_noiseless_map():
 
 def test_run_gibbs_flags_divergence():
     data, ls, _ = _state(rank=1)
-    bad = HankelData(y_f=data.y_f * np.nan, u_f=data.u_f, u_p=data.u_p,
-                     y_p=data.y_p, z_p=data.z_p, f=data.f, p=data.p,
-                     n_cols=data.n_cols, n_i=1, n_o=1)
+    bad = HankelData(stacked=np.vstack([data.y_f * np.nan, data.regressor]),
+                     f=data.f, p=data.p, n_i=1, n_o=1)
     with pytest.raises(NumericalError, match="iteration"):
         run_gibbs(bad, ls.h_fp_hat, ls.h_f_hat,
                   GibbsConfig(rank=1, n_total=5, n_burn=0), np.random.default_rng(0))
@@ -599,7 +600,7 @@ def _run_gibbs_rebuilding(data, ls, config, rng):
         l_prev, state.gamma_f, state.h_f = state.l_p, gamma_draw, h_draw
         l_mean, l_draw = step_lp(state, rng)
         state.l_p = l_draw
-        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ state.stacked
+        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ data.stacked
         step_gf(state, resid, rng, config.gf_variant)
         diagnostics.append(float(np.linalg.norm(gamma_draw @ l_draw)))
         if n > config.n_burn:

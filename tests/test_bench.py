@@ -26,8 +26,9 @@ FAST_METHODS = ("heuristic_neff", "heuristic_midpoint", "hard", "soft",
 def _identity_weights():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((4, 20))
-    data = HankelData(y_f=rng.standard_normal((2, 20)), u_f=rng.standard_normal((2, 20)),
-                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=20, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((2, 20)), z,
+                                         rng.standard_normal((2, 20))]),
+                      f=2, p=2, n_i=1, n_o=1)
     return build_weights("identity", data)
 
 

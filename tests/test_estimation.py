@@ -48,8 +48,7 @@ def _synthetic(seed, f, p, j, noise=0.05, svals=(30.0, 20.0)):
     q2, _ = np.linalg.qr(rng.standard_normal((2 * p, len(svals))))
     h = (q1 * np.asarray(svals)) @ q2.T
     y_f = h @ z + noise * rng.standard_normal((f, j))
-    data = HankelData(y_f=y_f, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
-                      f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([y_f, z, u_f]), f=f, p=p, n_i=1, n_o=1)
     return data, h
 
 
@@ -60,14 +59,13 @@ def test_assemble_ramp_layout():
     y = 2.0 * np.arange(8.0) + 1.0
     data = assemble(u, y, f=2, p=2)
     assert data.n_cols == 5
-    assert np.array_equal(data.u_p[:, 0], [0, 1])
+    # z_p stacks U_p on top of Y_p
+    assert np.array_equal(data.z_p[:2, 0], [0, 1])
     assert np.array_equal(data.u_f[:, 0], [2, 3])
-    assert np.array_equal(data.y_p[:, 0], [1, 3])
+    assert np.array_equal(data.z_p[2:, 0], [1, 3])
     assert np.array_equal(data.y_f[:, 0], [5, 7])
     # columns slide by one sample
-    assert np.array_equal(data.u_p[:, 1], [1, 2])
-    # z_p stacks the input block on top
-    assert np.array_equal(data.z_p, np.vstack([data.u_p, data.y_p]))
+    assert np.array_equal(data.z_p[:2, 1], [1, 2])
 
 
 def test_assemble_boundary_and_errors():
@@ -91,13 +89,28 @@ def test_assemble_blocks_are_row_views_of_one_buffer(n_i, n_o, one_dim):
     n = t - f - p + 1
     buf = data.stacked
     assert buf.flags.c_contiguous and buf.shape == ((f + p) * (n_i + n_o), n)
-    for block in (data.y_f, data.u_p, data.y_p, data.z_p, data.u_f):
+    for block in (data.y_f, data.z_p, data.u_f, data.regressor):
         assert block.base is buf
     # [Y_f; U_p; Y_p; U_f], each block bit for bit the build_hankel copy
-    same = np.vstack([build_hankel(y, f, n, p), build_hankel(u, p, n, 0),
-                      build_hankel(y, p, n, 0), build_hankel(u, f, n, p)])
+    u_p, y_p = build_hankel(u, p, n, 0), build_hankel(y, p, n, 0)
+    same = np.vstack([build_hankel(y, f, n, p), u_p, y_p, build_hankel(u, f, n, p)])
     assert np.array_equal(buf.view(np.uint64), same.view(np.uint64))
-    assert np.array_equal(data.z_p, np.vstack([data.u_p, data.y_p]))
+    # the two row halves of Z_p
+    assert np.array_equal(data.z_p[:p * n_i], u_p) and np.array_equal(data.z_p[p * n_i:], y_p)
+    assert np.array_equal(data.regressor, buf[f * n_o:])
+
+
+def test_hand_built_blocks_are_row_views_of_stacked():
+    f, p = 3, 2
+    stacked = np.random.default_rng(0).standard_normal((10, 30))
+    data = HankelData(stacked=stacked, f=f, p=p, n_i=1, n_o=1)
+    assert data.n_cols == 30
+    for block, rows in ((data.y_f, slice(0, 3)), (data.z_p, slice(3, 7)),
+                        (data.u_f, slice(7, 10)), (data.regressor, slice(3, 10))):
+        assert np.shares_memory(block, stacked)
+        assert np.array_equal(block, stacked[rows])
+    with pytest.raises(ValueError):
+        HankelData(stacked=stacked[:9], f=f, p=p, n_i=1, n_o=1)
 
 
 def test_ls_residues_are_formed_on_read():
@@ -117,8 +130,7 @@ def test_ls_recovers_exact_linear_map():
     u_f = rng.standard_normal((f, j))
     m_true = rng.standard_normal((f, 2 * p + f))
     y_f = m_true[:, :2 * p] @ z + m_true[:, 2 * p:] @ u_f
-    data = HankelData(y_f=y_f, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
-                      f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([y_f, z, u_f]), f=f, p=p, n_i=1, n_o=1)
     ls = ls_estimate(data)
     assert np.allclose(ls.h_fp_hat, m_true[:, :2 * p], atol=1e-9)
     assert np.allclose(ls.h_f_hat, m_true[:, 2 * p:], atol=1e-9)
@@ -201,9 +213,7 @@ def test_noise_dof_counts():
 def test_noise_rejects_short_data():
     data = _random_dataset(1, f=4, p=4, n_cols=90)
     ls = ls_estimate(data)
-    short = HankelData(y_f=data.y_f[:, :12], u_f=data.u_f[:, :12],
-                       u_p=data.u_p[:, :12], y_p=data.y_p[:, :12],
-                       z_p=data.z_p[:, :12], f=4, p=4, n_cols=12, n_i=1, n_o=1)
+    short = HankelData(stacked=data.stacked[:, :12], f=4, p=4, n_i=1, n_o=1)
     with pytest.raises(DataError):
         estimate_noise(short, ls.h_fp_hat, ls.h_f_hat)
 
@@ -302,8 +312,9 @@ def test_lambda_max_is_none_when_zpz_is_singular():
     zpz = z @ z.T
     assert _max_eig_congruence(zpz, np.eye(4)) is None
     assert _max_eig_congruence(zpz, z) is None
-    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
-                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((2, 50)), z,
+                                         rng.standard_normal((2, 50))]),
+                      f=2, p=2, n_i=1, n_o=1)
     assert build_weights("identity", data).factor1 is None
 
 
@@ -422,8 +433,7 @@ def test_rank_star_pure_noise():
     z = rng.standard_normal((2 * p, j))
     u_f = rng.standard_normal((f, j))
     y_f = 0.7 * rng.standard_normal((f, j))
-    data = HankelData(y_f=y_f, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
-                      f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([y_f, z, u_f]), f=f, p=p, n_i=1, n_o=1)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
     svd = weighted_svd(ls.h_fp_hat, w)
@@ -477,8 +487,7 @@ def test_rank_star_no_fixed_point_flag():
     q1, _ = np.linalg.qr(rng.standard_normal((f, f)))
     q2, _ = np.linalg.qr(rng.standard_normal((2 * p, f)))
     h = (q1 * np.array([300.0, 100.0, 30.0, 10.0])) @ q2.T
-    data = HankelData(y_f=h @ z, u_f=u_f, u_p=z[:p], y_p=z[p:], z_p=z,
-                      f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([h @ z, z, u_f]), f=f, p=p, n_i=1, n_o=1)
     ls = ls_estimate(data)
     w = build_weights("identity", data)
     svd = weighted_svd(ls.h_fp_hat, w)

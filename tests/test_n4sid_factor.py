@@ -76,7 +76,7 @@ def test_factor_form_gives_the_wide_form_maps(run_id):
     weights = build_weights("n4sid", data)
     svd = weighted_svd(ls.h_fp_hat, weights)
     wide = WideOracle(data)
-    assert svd.m.shape == (data.f, 2 * data.p)
+    assert svd.vt.shape[1] == 2 * data.p
     assert svd.shape == (data.f, data.n_cols)
     assert weights.factor1 == pytest.approx(wide.factor1, rel=REL, abs=0.0)
     assert np.allclose(svd.values, wide.factor(ls.h_fp_hat)[1], rtol=REL, atol=0.0)
@@ -114,8 +114,9 @@ def test_n4sid_weights_reject_a_rank_deficient_z_p():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 50))
     z = np.vstack([z, z[:1]])           # a repeated row
-    data = HankelData(y_f=rng.standard_normal((2, 50)), u_f=rng.standard_normal((2, 50)),
-                      u_p=z[:2], y_p=z[2:], z_p=z, f=2, p=2, n_cols=50, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((2, 50)), z,
+                                         rng.standard_normal((2, 50))]),
+                      f=2, p=2, n_i=1, n_o=1)
     with pytest.raises(NumericalError, match="n4sid"):
         build_weights("n4sid", data)
 
@@ -133,7 +134,6 @@ def test_padded_spectrum_is_the_wide_one_up_to_rounding():
     svd = weighted_svd(ls.h_fp_hat, weights)
     wide = WideOracle(data)
     s_wide = wide.factor(ls.h_fp_hat)[1]
-    assert svd.m.shape == (f, 2 * p)
     assert svd.shape == (f, data.n_cols)
     assert svd.values.shape == svd.s.shape == (f,)
     assert svd.u.shape == (f, f) and svd.vt.shape == (f, 2 * p)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from _util import quiet_decomposition, simulate_per_step
-from sidshrink import bench, cli, estimation
+from sidshrink import bench, cli, estimation, systems
 from sidshrink.bayes import GibbsConfig
 from sidshrink.bench import BenchConfig, draw_realization, single_run
 from sidshrink.dataio import read_timeseries
@@ -100,21 +100,23 @@ def _fixed_point_steps(a, c, r_w, r_v, tol=1e-12):
     raise AssertionError("fixed point did not converge")
 
 
-def test_kalman_gain_doubles_through_a_slow_draw():
+def test_kalman_gain_doubles_through_a_slow_draw(monkeypatch):
     # the protocol draw with the slowest fixed point (seed 0, run 4,
     # attempt 1: 1298 steps), its A rescaled to spectral radius 0.999
     model, *_ = sample_system(SystemSpec(), _system_stream(0, 4, 1))
     a = model.a / model.spectral_radius() * 0.999
     c, r_w, r_v = model.c, model.r_w, model.r_v
     assert _fixed_point_steps(a, c, r_w, r_v) > 1000
-    k, sigma = kalman_gain(a, c, r_w, r_v, max_iter=20)
+    monkeypatch.setattr(systems, "_RICCATI_MAX_ITER", 20)
+    k, sigma = kalman_gain(a, c, r_w, r_v)
     p = scipy.linalg.solve_discrete_are(a.T, c.T, r_w, r_v)
     sigma_ref = c @ p @ c.T + r_v
     k_ref = a @ p @ c.T @ np.linalg.inv(sigma_ref)
     assert np.linalg.norm(k - k_ref) <= 1e-10 * np.linalg.norm(k_ref)
     assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
+    monkeypatch.setattr(systems, "_RICCATI_MAX_ITER", 2)
     with pytest.raises(NumericalError):
-        kalman_gain(a, c, r_w, r_v, max_iter=2)
+        kalman_gain(a, c, r_w, r_v)
 
 
 def test_kalman_gain_rejects_singular_measurement_noise():
@@ -167,6 +169,18 @@ def test_rank_star_forms_no_noise_factor(monkeypatch):
                         lambda *a, **kw: calls.append(kw) or noise_fn(*a, **kw))
     rank_star(data, ls, weights, svd)
     assert factors == [] and len(calls) >= 1
+
+
+@pytest.mark.parametrize("scheme, expected", [("identity", 0), ("cva", 1), ("n4sid", 0)])
+def test_identify_estimates_full_rank_noise_only_under_cva(monkeypatch, scheme, expected):
+    draw = draw_realization(0, 2, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    calls, noise_fn = [], bench.estimate_noise
+    monkeypatch.setattr(bench, "estimate_noise",
+                        lambda *a, **kw: calls.append(kw) or noise_fn(*a, **kw))
+    bench.identify(data, scheme, ("heuristic_neff",), GibbsConfig(rank=1),
+                   np.random.default_rng(0))
+    assert len(calls) == expected
 
 
 # -------------------------------------------------------- draw and callers

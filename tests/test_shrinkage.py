@@ -337,8 +337,9 @@ def _identity_weights():
     f = p = 3
     j = 40
     z = rng.standard_normal((2 * p, j))
-    data = HankelData(y_f=rng.standard_normal((f, j)), u_f=rng.standard_normal((f, j)),
-                      u_p=z[:p], y_p=z[p:], z_p=z, f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((f, j)), z,
+                                         rng.standard_normal((f, j))]),
+                      f=f, p=p, n_i=1, n_o=1)
     return build_weights("identity", data), data
 
 
@@ -374,10 +375,9 @@ def test_transposition_consistency():
     rng = np.random.default_rng(19)
     j = 40
     z = rng.standard_normal((3, j))
-    data = HankelData(y_f=rng.standard_normal((6, j)),
-                      u_f=rng.standard_normal((3, j)),
-                      u_p=z[:1], y_p=z[1:], z_p=z,
-                      f=3, p=1, n_cols=j, n_i=1, n_o=2)
+    data = HankelData(stacked=np.vstack([rng.standard_normal((6, j)), z,
+                                         rng.standard_normal((3, j))]),
+                      f=3, p=1, n_i=1, n_o=2)
     w_tall = build_weights("identity", data)
     m = rng.standard_normal((6, 3)) * 2.0
     ctx = make_context(m.shape, 0.7)
@@ -397,8 +397,8 @@ def test_weighted_shrink_consistent_with_weighted_svd():
     j = 60
     z = rng.standard_normal((2 * p, j))
     y_f = rng.standard_normal((f, j))
-    data = HankelData(y_f=y_f, u_f=rng.standard_normal((f, j)), u_p=z[:p], y_p=z[p:],
-                      z_p=z, f=f, p=p, n_cols=j, n_i=1, n_o=1)
+    data = HankelData(stacked=np.vstack([y_f, z, rng.standard_normal((f, j))]),
+                      f=f, p=p, n_i=1, n_o=1)
     ls = ls_estimate(data)
     noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
     w = build_weights("cva", data, g_f_hat=noise.g_f_hat)

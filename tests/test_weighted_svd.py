@@ -63,7 +63,7 @@ def _realization(scheme, run_id):
 def test_shared_svd_matches_per_call_factorisation_exactly(scheme, run_id):
     data, ls, weights = _realization(scheme, run_id)
     svd = weighted_svd(ls.h_fp_hat, weights)
-    for r in range(1, min(svd.m.shape) + 1):
+    for r in range(1, svd.s.size + 1):
         assert np.array_equal(truncate_estimate(svd, weights, r),
                               _per_call_truncate(ls.h_fp_hat, weights, r))
     expect = _per_call_rank_star(data, ls, weights)
@@ -82,5 +82,4 @@ def test_values_match_the_values_only_svd_bit_for_bit(scheme, run_id):
     _, ls, weights = _realization(scheme, run_id)
     svd = weighted_svd(ls.h_fp_hat, weights)
     m = weights.apply(ls.h_fp_hat)
-    assert np.array_equal(svd.m, m)
     assert np.array_equal(svd.values, np.linalg.svd(m, compute_uv=False))
