@@ -177,7 +177,7 @@ def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
              gibbs: GibbsConfig, rng: np.random.Generator) -> Identification:
     """LS estimate, noise (cva only), weights, one weighted SVD and r*, then
     each method's estimate and the rank it kept: the rule's order for a
-    heuristic, the count of values a shrinker leaves nonzero, r* for bayes.
+    heuristic, the count of svd.values a shrinker leaves nonzero, r* for bayes.
     The chain runs at rank r* and is the only reader of rng."""
     ls = ls_estimate(data)
     g_f_hat = None

@@ -119,7 +119,19 @@ def _load_config_file(path) -> dict:
     unknown = sorted(set(loaded) - set(_DEFAULTS))
     if unknown:
         raise DataError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    wrong = sorted(key for key, value in loaded.items() if not _typed_like(value, _DEFAULTS[key]))
+    if wrong:
+        raise DataError(f"{path}: wrongly typed config values: "
+                        + ", ".join(f"{key}={loaded[key]!r}" for key in wrong))
     return loaded
+
+
+def _typed_like(value, default) -> bool:
+    """value has default's JSON type: a bool is not an int, and a list holds
+    strings."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return type(value) is type(default)
 
 
 def parse_config(args: argparse.Namespace) -> dict:
@@ -198,10 +210,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
     resolved = parse_config(args)
     u, y, meta = read_timeseries(args.data)
     t_samples = u.shape[0]
-    f = int(meta.get("f", t_samples // 10))
-    p = int(meta.get("p", t_samples // 10))
-    if f < 1 or p < 1:
-        raise DataError(f"dataset too short for identification ({t_samples} rows)")
+    f, p = meta.get("f", t_samples // 10), meta.get("p", t_samples // 10)
+    if not all(type(h) is int and h >= 1 for h in (f, p)):
+        raise DataError(f"{args.data}: horizons f and p must be positive integers, "
+                        f"got f={f!r}, p={p!r} ({t_samples} rows)")
     method = resolved["method"]
     ident = identify(assemble(u, y, f, p), resolved["scheme"], (method,),
                      _gibbs_config(resolved), np.random.default_rng(resolved["seed"]))

@@ -69,6 +69,8 @@ def _read_lines(path):
                     except json.JSONDecodeError as exc:
                         raise DataError(
                             f"{path}:{line_no}: bad config header: {exc}") from exc
+                    if not isinstance(meta, dict):
+                        raise DataError(f"{path}:{line_no}: config header must be a JSON object")
                 continue
             if line.strip():
                 body.append((line_no, line))

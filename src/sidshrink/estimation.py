@@ -134,7 +134,6 @@ class LsEstimate:
 @dataclass(frozen=True)
 class NoiseEstimate:
     g_hat_sq: np.ndarray   # residue covariance E E' / (j - dof)
-    dof: int
 
     @property
     def g_f_hat(self) -> np.ndarray:
@@ -272,7 +271,7 @@ def estimate_noise(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     resid = residues(data, h_fp_hat, h_f_hat)
     g_hat_sq = resid @ resid.T / (j - dof)
     g_hat_sq = (g_hat_sq + g_hat_sq.T) / 2.0
-    return NoiseEstimate(g_hat_sq=g_hat_sq, dof=dof)
+    return NoiseEstimate(g_hat_sq=g_hat_sq)
 
 
 def _zpz_perp(data: HankelData) -> np.ndarray:
@@ -363,40 +362,37 @@ def noise_level(weights: WeightPair, g_hat_sq: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WeightedSvd:
-    """The factorisations of the weighted LS estimate m = w1 H w2, formed
-    once per identification and read by r*, the order rules and the
-    shrinkers.
+    """The factorisation of the weighted LS estimate m = w1 H w2, formed
+    once per identification: u and vt from a thin SVD, and values, the one
+    spectrum that r*, the order rules, truncation and the shrinkers read,
+    from a values-only SVD. The thin SVD's own values differ by up to
+    2.7e-15 s_1, and order_heuristic_neff of those keeps another order on
+    16 of the 300 cva acceptance realizations.
 
     shape is the estimate's shape in the noise model, (rows, weights.n_cols),
     which sets every threshold; it is m.shape except under n4sid. There the
-    factorisations are zero-padded to min(shape) values when m has fewer
+    factorisation is zero-padded to min(shape) values when m has fewer
     columns than rows: the wide W1 H Z_p has rank at most the row count of
     Z_p, and its further values are rounding noise.
     """
 
     shape: tuple[int, int]
-    # The order rules and r*'s count read these values-only singular values,
-    # not `s`: the two differ by up to 2.7e-15 s_1, and on the 300 cva
-    # acceptance realizations order_heuristic_neff of `s` keeps another order
-    # on 16 runs (12, 13, 23, 30, 40, 54, 92, 120, 134, 143, 161, 170, 181,
-    # 220, 234, 236).
     values: np.ndarray
     u: np.ndarray
-    s: np.ndarray
     vt: np.ndarray
 
 
 def weighted_svd(h_fp_hat: np.ndarray, weights: WeightPair) -> WeightedSvd:
-    """Weight the LS estimate and factor it: thin SVD and values only."""
+    """Weight the LS estimate and factor it: thin SVD vectors, values only."""
     m = weights.apply(h_fp_hat)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
     values = np.linalg.svd(m, compute_uv=False)
     shape = (m.shape[0], weights.n_cols)
-    pad = min(shape) - s.size
+    pad = min(shape) - values.size
     if pad > 0:
-        values, s = np.pad(values, (0, pad)), np.pad(s, (0, pad))
+        values = np.pad(values, (0, pad))
         u, vt = np.pad(u, ((0, 0), (0, pad))), np.pad(vt, ((0, pad), (0, 0)))
-    return WeightedSvd(shape=shape, values=values, u=u, s=s, vt=vt)
+    return WeightedSvd(shape=shape, values=values, u=u, vt=vt)
 
 
 def truncate_estimate(estimate: WeightedSvd | np.ndarray, weights: WeightPair,
@@ -404,9 +400,9 @@ def truncate_estimate(estimate: WeightedSvd | np.ndarray, weights: WeightPair,
     """Best rank-r approximation in the weighted norm, mapped back to the
     original coordinates. A raw estimate is factored first."""
     svd = weighted_svd(estimate, weights) if isinstance(estimate, np.ndarray) else estimate
-    if not 1 <= r <= svd.s.size:
-        raise ValueError(f"rank {r} outside [1, {svd.s.size}]")
-    m_r = (svd.u[:, :r] * svd.s[:r]) @ svd.vt[:r]
+    if not 1 <= r <= svd.values.size:
+        raise ValueError(f"rank {r} outside [1, {svd.values.size}]")
+    m_r = (svd.u[:, :r] * svd.values[:r]) @ svd.vt[:r]
     return weights.unapply(m_r)
 
 

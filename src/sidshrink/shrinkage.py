@@ -206,5 +206,5 @@ def shrink_estimate(estimate: "WeightedSvd | np.ndarray", weights: "WeightPair",
         from .estimation import weighted_svd  # estimation imports this module
         estimate = weighted_svd(estimate, weights)
     ctx = make_context(estimate.shape, sigma_level)
-    s_shr = shrink_values(estimate.s, ctx, method)
+    s_shr = shrink_values(estimate.values, ctx, method)
     return weights.unapply((estimate.u * s_shr) @ estimate.vt)

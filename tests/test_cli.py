@@ -60,6 +60,18 @@ def test_config_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("values", [
+    {"runs": "5"}, {"nf": "x"}, {"runs": True}, {"seed": 1.0},
+    {"rao_blackwell": 1}, {"gf_variant": ["x"]}, {"methods": [["hard"]]},
+])
+def test_config_wrongly_typed_value_rejected(tmp_path, capsys, values):
+    # a bool is an int to isinstance, and must still be rejected as one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert _run(["benchmark", "--config", str(cfg), "--runs", "1"]) == 3
+    assert "wrongly typed config values" in capsys.readouterr().err
+
+
 def test_method_spelling_mapped():
     parser = build_parser()
     args = parser.parse_args(["identify", "x.csv", "--method", "heuristic"])
@@ -197,6 +209,24 @@ def test_identify_degenerate_data_is_numerical_error(tmp_path, capsys):
                      config={"f": 3, "p": 3})
     assert _run(["identify", str(path)]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header, message", [
+    ('{"f": "abc"}', "f='abc'"),
+    ('{"f": null}', "f=None"),
+    ('{"p": 2.7}', "p=2.7"),          # not silently truncated to 2
+    ('{"f": true}', "f=True"),
+    ('{"f": 0, "p": 3}', "f=0"),
+    ('[1, 2]', "config header must be a JSON object"),
+])
+def test_identify_malformed_header_is_data_error(tmp_path, capsys, header, message):
+    path = tmp_path / "bad_header.csv"
+    write_timeseries(path, np.ones((80, 1)), np.ones((80, 1)))
+    text = path.read_text().splitlines(keepends=True)
+    path.write_text(text[0] + f"# config: {header}\n" + "".join(text[1:]))
+    assert _run(["identify", str(path), "--out", str(tmp_path / "out.csv")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_identify_too_short_dataset(tmp_path, capsys):

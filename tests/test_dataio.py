@@ -78,6 +78,15 @@ def test_timeseries_header_validation(tmp_path):
         read_timeseries(path)
 
 
+@pytest.mark.parametrize("header", ["[1, 2]", "3", '"f"', "null"])
+def test_config_header_must_be_a_json_object(tmp_path, header):
+    path = tmp_path / "data.csv"
+    path.write_text(f"# sidshrink 0\n# config: {header}\nu_1,y_1\n1.0,2.0\n")
+    with pytest.raises(DataError) as err:
+        read_timeseries(path)
+    assert str(err.value) == f"{path}:2: config header must be a JSON object"
+
+
 def test_matrices_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     mats = {

@@ -8,6 +8,7 @@ from sidshrink.bench import draw_realization
 from sidshrink.errors import DataError, NumericalError
 from sidshrink.estimation import (
     HankelData,
+    _dof,
     _max_eig_congruence,
     _zpz_perp,
     assemble,
@@ -202,12 +203,16 @@ def test_residues_orthogonal_to_regressor():
 def test_noise_dof_counts():
     data = _random_dataset(0, f=4, p=4, n_cols=90)
     ls = ls_estimate(data)
-    full = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-    assert full.dof == 12  # f (n_o + 2 n_i) = 3f
-    r1 = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat, rank_used=1)
-    assert r1.dof == 9  # f + (f + 2) r - r^2 at r = 1
-    r2 = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat, rank_used=2)
-    assert r2.dof == full.dof  # the two counts agree at r = 2 (SISO)
+    dof = {r: _dof(data.f, data.n_i, data.n_o, r) for r in (None, 1, 2)}
+    assert dof[None] == 12  # f (n_o + 2 n_i) = 3f
+    assert dof[1] == 9  # f + (f + 2) r - r^2 at r = 1
+    assert dof[2] == dof[None]  # the two counts agree at r = 2 (SISO)
+    # estimate_noise divides the residue Gram by N - dof
+    gram_trace = np.sum(residues(data, ls.h_fp_hat, ls.h_f_hat) ** 2)
+    for r, count in dof.items():
+        noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat, rank_used=r)
+        scaled = np.trace(noise.g_hat_sq) * (data.n_cols - count)
+        assert scaled == pytest.approx(gram_trace, rel=1e-12)
 
 
 def test_noise_rejects_short_data():

@@ -1,10 +1,13 @@
 """One weighted SVD per identification: r*, truncation and shrinkage read
 the factorisation that weighted_svd forms once, and give, bit for bit, what
-factoring the weighted estimate in every call gave."""
+factoring the weighted estimate in every call gave. Its values are the one
+spectrum: each shrinker's estimate and reported order come from the same
+shrunk vector."""
 import numpy as np
 import pytest
 
-from sidshrink.bench import BenchConfig, single_run
+from sidshrink.bayes import GibbsConfig
+from sidshrink.bench import BenchConfig, identify, single_run
 from sidshrink.estimation import (
     RankStar,
     assemble,
@@ -20,9 +23,12 @@ from sidshrink.shrinkage import METHODS, make_context, shrink_estimate, shrink_v
 RUNS = range(3)
 
 
+# each oracle takes the singular vectors from a thin SVD and the spectrum
+# from a values-only SVD of the weighted estimate m
 def _per_call_truncate(h_fp_hat, weights, r):
     m = weights.apply(h_fp_hat)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    s = np.linalg.svd(m, compute_uv=False)
     return weights.unapply((u[:, :r] * s[:r]) @ vt[:r])
 
 
@@ -31,7 +37,8 @@ def _per_call_shrink(h_fp_hat, weights, sigma_level, method):
     m = weights.apply(h_fp_hat)
     ctx = make_context((m.shape[0], weights.n_cols), sigma_level)
     transposed = m.shape[0] > m.shape[1]
-    u, s, vt = np.linalg.svd(m.T if transposed else m, full_matrices=False)
+    u, _, vt = np.linalg.svd(m.T if transposed else m, full_matrices=False)
+    s = np.linalg.svd(m, compute_uv=False)
     denoised = (u * shrink_values(s, ctx, method)) @ vt
     return weights.unapply(denoised.T if transposed else denoised)
 
@@ -63,7 +70,7 @@ def _realization(scheme, run_id):
 def test_shared_svd_matches_per_call_factorisation_exactly(scheme, run_id):
     data, ls, weights = _realization(scheme, run_id)
     svd = weighted_svd(ls.h_fp_hat, weights)
-    for r in range(1, svd.s.size + 1):
+    for r in range(1, svd.values.size + 1):
         assert np.array_equal(truncate_estimate(svd, weights, r),
                               _per_call_truncate(ls.h_fp_hat, weights, r))
     expect = _per_call_rank_star(data, ls, weights)
@@ -83,3 +90,17 @@ def test_values_match_the_values_only_svd_bit_for_bit(scheme, run_id):
     svd = weighted_svd(ls.h_fp_hat, weights)
     m = weights.apply(ls.h_fp_hat)
     assert np.array_equal(svd.values, np.linalg.svd(m, compute_uv=False))
+
+
+@pytest.mark.parametrize("run_id", RUNS)
+@pytest.mark.parametrize("scheme", ["identity", "cva", "n4sid"])
+def test_identify_shrinks_and_counts_one_spectrum(scheme, run_id):
+    data, _, _ = _realization(scheme, run_id)
+    ident = identify(data, scheme, METHODS, GibbsConfig(rank=1), np.random.default_rng(0))
+    svd = ident.svd
+    ctx = make_context(svd.shape, ident.rank.sigma_level)
+    for method in METHODS:
+        v = shrink_values(svd.values, ctx, method)
+        assert np.array_equal(ident.estimates[method],
+                              ident.weights.unapply((svd.u * v) @ svd.vt))
+        assert ident.orders[method] == np.count_nonzero(v)
