@@ -12,7 +12,6 @@ means.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,14 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConfigError, NumericalError
 from .estimation import HankelData
-from .linalg import SelectorPair, build_selectors, psd_sqrt, toeplitz_from_col, toeplitz_project
+from .linalg import (
+    SelectorPair,
+    build_selectors,
+    frobenius,
+    psd_sqrt,
+    toeplitz_from_col,
+    toeplitz_project,
+)
 
 __all__ = [
     "GibbsConfig",
@@ -298,13 +304,6 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
     return state.g_f
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """np.linalg.norm(m) bit for bit (the same dot of the flattened array),
-    without the wrapper's dispatch."""
-    flat = m.ravel()
-    return math.sqrt(flat.dot(flat))
-
-
 def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
               config: GibbsConfig, rng: np.random.Generator) -> GibbsEstimate:
     """Run the chain and average Gamma_f L_p over iterations
@@ -320,7 +319,7 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     if config.n_burn == 0:
         # burn-in of zero keeps the deterministic first iterate as well
         accum += state.gamma_f @ state.l_p
-    diagnostics = [_frobenius(state.gamma_f @ state.l_p)]
+    diagnostics = [frobenius(state.gamma_f @ state.l_p)]
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
     # identity block is filled once, the others each iteration
     y, z, u = data.row_slices
@@ -346,7 +345,7 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")
-        diagnostics.append(_frobenius(product))
+        diagnostics.append(frobenius(product))
         if n > config.n_burn:
             if config.rao_blackwell:
                 accum += (gamma_mean @ l_prev + gamma_draw @ l_mean) / 2.0

@@ -36,6 +36,7 @@ from .estimation import (
     truncate_estimate,
     weighted_svd,
 )
+from .linalg import frobenius
 from .shrinkage import METHODS as SHRINKERS, make_context, shrink_estimate, shrink_values
 from .systems import (
     StateSpaceModel,
@@ -98,6 +99,8 @@ class BenchConfig:
             raise ConfigError(f"methods must include the reference {REFERENCE_METHOD!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class RunPayload:
 def realization_risk(h_true: np.ndarray, h_est: np.ndarray, weights: WeightPair) -> float:
     if h_true.shape != h_est.shape:
         raise ValueError(f"shape mismatch {h_true.shape} vs {h_est.shape}")
-    return float(np.linalg.norm(weights.apply(h_true - h_est), "fro") ** 2)
+    return frobenius(weights.apply(h_true - h_est)) ** 2
 
 
 def aggregate_risk(risks, reference_risks) -> tuple[float, float, int, int]:

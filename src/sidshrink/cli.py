@@ -135,7 +135,8 @@ def _typed_like(value, default) -> bool:
 
 
 def parse_config(args: argparse.Namespace) -> dict:
-    """Resolve settings: flags override file values override defaults."""
+    """Resolve settings: flags override file values override defaults. A
+    negative seed is a ConfigError: numpy's seeding rejects it."""
     resolved = dict(_DEFAULTS)
     if getattr(args, "config", None):
         resolved.update(_load_config_file(args.config))
@@ -144,6 +145,8 @@ def parse_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     resolved["gf_variant"] = _GF_MAP.get(resolved["gf_variant"], resolved["gf_variant"])
     resolved["method"] = _METHOD_MAP.get(resolved["method"], resolved["method"])
     resolved["methods"] = [_METHOD_MAP.get(m, m) for m in resolved["methods"]]

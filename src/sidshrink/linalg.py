@@ -1,5 +1,5 @@
 """Structured-matrix helpers: block Hankel builders, Toeplitz selectors,
-symmetric matrix roots, pseudo-determinants.
+symmetric matrix roots, pseudo-determinants, the Frobenius norm.
 
 Vectorisation convention: vec() stacks columns (column-major), matching the
 selector matrices built here. All functions are pure and never mutate their
@@ -8,6 +8,7 @@ arguments.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "build_hankel",
     "hankel_windows",
     "build_selectors",
+    "frobenius",
     "psd_sqrt",
     "pseudo_det",
     "toeplitz_project",
@@ -111,6 +113,13 @@ def build_selectors(i: int, n: int) -> SelectorPair:
     k, l = np.meshgrid(np.arange(i), np.arange(n), indexing="ij")
     b_w[(k + l * i).ravel(), (k + l).ravel()] = 1.0
     return SelectorPair(b_t=b_t, b_w=b_w, i=i, n=n)
+
+
+def frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm(m) bit for bit (the same dot of the array flattened in
+    memory order), without the wrapper's dispatch."""
+    flat = m.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def psd_sqrt(m: np.ndarray, inverse: bool = False) -> np.ndarray:

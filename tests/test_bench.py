@@ -50,6 +50,8 @@ def test_config_validation():
         BenchConfig(methods=("hard", "soft"))  # reference missing
     with pytest.raises(ConfigError):
         BenchConfig(parallelism=0)
+    with pytest.raises(ConfigError, match="got -1"):
+        BenchConfig(seed=-1)
 
 
 def test_realization_risk_hand_value():
@@ -144,6 +146,14 @@ def test_identity_risk_is_plain_frobenius_error():
         for method, est in payload.estimates.items():
             plain = float(np.linalg.norm(payload.h_fp_true - est, "fro") ** 2)
             assert record.risks[method] == pytest.approx(plain, rel=1e-12, abs=1e-300)
+
+
+def test_cva_risk_is_numpy_frobenius_norm_bit_for_bit():
+    cfg = _cfg(runs=1, scheme="cva", seed=0)
+    record, payload = single_run(cfg, 0, keep_payload=True)
+    for method, est in payload.estimates.items():
+        weighted = payload.weights.apply(payload.h_fp_true - est)
+        assert record.risks[method] == np.linalg.norm(weighted, "fro") ** 2
 
 
 def test_single_run_scores_what_identify_returns():

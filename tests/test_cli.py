@@ -72,6 +72,25 @@ def test_config_wrongly_typed_value_rejected(tmp_path, capsys, values):
     assert "wrongly typed config values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "identify", "benchmark"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_config_error(tmp_path, simulated, capsys, command, source):
+    # numpy's seeding rejects a negative seed with a ValueError
+    argv = [command] + ([str(simulated)] if command == "identify" else [])
+    argv += ["--out", str(tmp_path / "out.csv")]
+    if command == "benchmark":
+        argv += ["--runs", "1"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_method_spelling_mapped():
     parser = build_parser()
     args = parser.parse_args(["identify", "x.csv", "--method", "heuristic"])

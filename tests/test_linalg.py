@@ -6,6 +6,7 @@ from sidshrink.errors import DataError, NumericalError
 from sidshrink.linalg import (
     build_hankel,
     build_selectors,
+    frobenius,
     pseudo_det,
     psd_sqrt,
     toeplitz_from_col,
@@ -17,6 +18,15 @@ from sidshrink.linalg import (
 def test_vec_is_column_major():
     m = np.array([[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
+
+
+def test_frobenius_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((37, 23)) * 10.0 ** rng.uniform(-3, 3, (37, 23))
+    cases = [rng.standard_normal(n) for n in (1, 7, 1000)]
+    cases += [m, m.T, m[::3, 1::2], np.asfortranarray(m), np.zeros((2, 3))]
+    for x in cases:
+        assert frobenius(x) == np.linalg.norm(x)
 
 
 def test_hankel_scalar_indexing():

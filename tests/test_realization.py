@@ -64,13 +64,16 @@ def test_protocol_draws_match_per_step_loop_for_every_order():
 
 
 def test_simulate_without_burn_in_matches_per_step_loop():
+    # burn_in = len(u) - 1 keeps one output: the last row of the state buffer
     for n_x in range(1, 11):
         rng = np.random.default_rng(n_x)
         model, snr, n_samples, _ = sample_system(SystemSpec(nx_range=(n_x, n_x)), rng)
         u = rng.normal(0.0, math.sqrt(snr), size=(n_samples, 1))
-        y = simulate(model, u, np.random.default_rng(50 + n_x))
-        assert y.shape == (n_samples, 1)
-        assert np.array_equal(y, simulate_per_step(model, u, np.random.default_rng(50 + n_x), 0))
+        for burn in (0, n_samples - 1):
+            y = simulate(model, u, np.random.default_rng(50 + n_x), burn_in=burn)
+            assert y.shape == (n_samples - burn, 1)
+            assert np.array_equal(
+                y, simulate_per_step(model, u, np.random.default_rng(50 + n_x), burn))
 
 
 def test_simulate_two_outputs_matches_per_step_loop():
@@ -125,6 +128,12 @@ def test_kalman_gain_rejects_singular_measurement_noise():
         kalman_gain(a, c, np.eye(2), np.zeros((1, 1)))
 
 
+def test_kalman_gain_rejects_singular_doubling_step():
+    # G = C' R_v^-1 C = 1 and P = R_w = -1, so the first W = I + G P is 0
+    with pytest.raises(NumericalError, match="doubling step singular"):
+        kalman_gain(0.5, 1.0, -1.0, 1.0)
+
+
 # ------------------------------------------------------ true_decomposition
 
 def test_markov_blocks_match_power_loop():
@@ -146,6 +155,23 @@ def test_markov_blocks_match_power_loop():
         assert np.array_equal(td.h_f[n_o:2 * n_o, :n_i], td.h_f[-n_o:, -2 * n_i:-n_i])
         # f = 1 leaves no Markov block past D
         assert np.array_equal(quiet_decomposition(model, 1, 1).h_f, model.d)
+
+
+def _no_toeplitz(*args, **kwargs):
+    raise AssertionError("built a Markov Toeplitz block that nothing reads")
+
+
+def test_scored_path_builds_no_unread_truth(tmp_path, monkeypatch, capsys):
+    # single_run and cli simulate read h_fp alone; h_f and g_f wait for a reader
+    monkeypatch.setattr(systems, "_block_toeplitz", _no_toeplitz)
+    cfg = BenchConfig(runs=1, scheme="cva", methods=("heuristic_neff", "soft"), seed=0)
+    record, payload = single_run(cfg, 0, keep_payload=True)
+    assert record.attempts == 1 and np.isfinite(payload.h_fp_true).all()
+    assert cli.main(["simulate", "--seed", "4", "--out", str(tmp_path / "sim.csv")]) == 0
+    capsys.readouterr()
+    td = true_decomposition(draw_realization(0, 0, 0).model, payload.f, payload.p)
+    with pytest.raises(AssertionError, match="Markov Toeplitz"):
+        td.h_f
 
 
 # ------------------------------------------------------------ noise factor
