@@ -12,13 +12,14 @@ means.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 # the iteration calls LAPACK directly: each scipy.linalg wrapper costs more
 # than the small solve it wraps
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs, dtrtrs
 
 from .errors import ConfigError, NumericalError
 from .estimation import HankelData
@@ -65,10 +66,12 @@ class GibbsConfig:
 @dataclass
 class GibbsState:
     """The sampled blocks (gamma_f, h_f), l_p and g_f; the rest stays fixed
-    for the whole chain: the data enter as the Gram blocks of the stacked
-    [Y_f; Z_p; U_f] rows (yz = Y_f Z_p', ...), as y_zpinv = Y_f Z_p^+ and
-    u_zpinv = U_f Z_p^+ (formed as yz (R'R)^-1 and uz (R'R)^-1), and as
-    z_factor, the triangular R of Z_p with R'R = Z_p Z_p'."""
+    for the whole chain: the data enter as factor_t = R~', the transpose of
+    a triangular factor of the stacked [Y_f; Z_p; U_f] rows with R~'R~ =
+    stacked stacked', as that Gram's blocks (yz = Y_f Z_p', ...), as
+    y_zpinv = Y_f Z_p^+ and u_zpinv = U_f Z_p^+ (formed as yz (R'R)^-1 and
+    uz (R'R)^-1), and as z_factor, the triangular R of Z_p with R'R =
+    Z_p Z_p'."""
 
     gamma_f: np.ndarray
     h_f: np.ndarray
@@ -79,6 +82,7 @@ class GibbsState:
     lambda_l: np.ndarray
     selectors: SelectorPair
     z_factor: np.ndarray
+    factor_t: np.ndarray
     yz: np.ndarray
     yu: np.ndarray
     zz: np.ndarray
@@ -107,6 +111,13 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     (lambda_gamma = diag(i / s_k), lambda_l = diag(j / s_k), lambda_h =
     I i^2 / tr(h_f' h_f)) stay fixed for the whole chain. SISO only; a
     (near) rank-deficient Z_p raises NumericalError.
+
+    The only pass over the N data columns is one QR of the stacked rows,
+    taken in the order [Z_p; U_f; Y_f] so that a NaN in Y_f leaves the Z_p
+    and U_f columns of its R clean. R's columns put back in stacked order
+    give R~, and the Gram blocks come from R~'R~. The Gram is never
+    factored itself: a Cholesky factor of it would square its condition
+    number.
     """
     if data.n_i != 1 or data.n_o != 1:
         raise ConfigError("the Bayesian estimator supports SISO data only")
@@ -121,8 +132,13 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     gamma = u[:, :rank] * root
     l_p = scipy.linalg.solve_triangular(z_factor, (root[:, None] * vt[:rank]).T).T
     trace_h = max(float(np.trace(h_f_hat.T @ h_f_hat)), np.finfo(float).tiny)
-    gram = data.stacked @ data.stacked.T
     y, z, u = data.row_slices
+    order = np.arange(data.stacked.shape[0])
+    order = np.concatenate([order[z], order[u], order[y]])
+    qr = _checked(dgeqrf(data.stacked[order].T, overwrite_a=1), "QR of the stacked data")
+    factor_t = np.empty((order.size, min(qr.shape)))
+    factor_t[order] = np.triu(qr[:order.size]).T
+    gram = factor_t @ factor_t.T
     # (Z_p Z_p')^-1 from R alone: Y_f or U_f may hold NaN, which the chain
     # reports at its first iteration
     zz_inv = scipy.linalg.cho_solve((z_factor, False), np.eye(z_factor.shape[0]))
@@ -136,18 +152,18 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
         lambda_l=np.diag(j / s_r),
         selectors=build_selectors(i, j),
         z_factor=z_factor,
+        factor_t=factor_t,
         yz=gram[y, z], yu=gram[y, u], zz=gram[z, z], zu=gram[z, u], uu=gram[u, u],
         y_zpinv=gram[y, z] @ zz_inv, u_zpinv=gram[u, z] @ zz_inv,
     )
 
 
-def _checked(result: tuple[np.ndarray, int], what: str) -> np.ndarray:
-    """The array of a LAPACK (array, info) pair; a nonzero info raises
-    NumericalError naming the failed step."""
-    out, info = result
-    if info != 0:
-        raise NumericalError(f"{what} (LAPACK info {info})")
-    return out
+def _checked(result: tuple, what: str) -> np.ndarray:
+    """The first array of a LAPACK (array, ..., info) tuple; a nonzero info
+    raises NumericalError naming the failed step."""
+    if result[-1] != 0:
+        raise NumericalError(f"{what} (LAPACK info {result[-1]})")
+    return result[0]
 
 
 def _gamma_hf_parts(state: GibbsState):
@@ -240,28 +256,54 @@ def _omega_hankel(resid: np.ndarray) -> np.ndarray:
     for m in range(1, i):
         np.add(sums[m - 1], sums[m], out=sums[m])
     s = _skew(sums[::-1])[::-1, :n_coef].T
-    w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
-    omega = s.T @ (s / w[:, None])
+    omega = s.T @ (s / _multiplicity(i, j))
     return (omega + omega.T) / 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def _multiplicity(i: int, j: int) -> np.ndarray:
+    """Column of anti-diagonal multiplicities of an i x j matrix, the
+    diagonal of b_w' b_w."""
+    n_coef = i + j - 1
+    w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
+    w = w[:, None]
+    w.setflags(write=False)     # shared by every call with this (i, j)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _subdiagonal_index(i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an i x i matrix: gather[k, d] reads entry
+    (k + d, k), the k-th term of the d-th subdiagonal (entry 0 where
+    k + d >= i), and scatter[a, b] reads (min(a, b), |a - b|) of the
+    gathered layout."""
+    k, d = np.indices((i, i))
+    gather = np.where(k + d < i, (k + d) * i + k, 0)
+    scatter = np.minimum(k, d) * i + np.abs(k - d)
+    for a in (gather, scatter):
+        a.setflags(write=False)     # shared by every call with this i
+    return gather, scatter
 
 
 def _omega_independent(resid: np.ndarray) -> np.ndarray:
     """Quadratic form b_t' (E E' (x) I) b_t via partial diagonal sums of the
     residue Gram matrix: entry (m, m + d) sums the first m+1 terms of the
-    d-th subdiagonal of E E'."""
-    i = resid.shape[0]
-    low = np.tril(resid @ resid.T)
-    # column d: the d-th subdiagonal from its top, read at stride i + 1
-    subdiag = np.concatenate([low.T.ravel(), np.zeros(i)]).reshape(i, i + 1)[:, :i]
-    upper = _skew(np.cumsum(subdiag, axis=0))[:, :i]
-    return upper + np.triu(upper, 1).T
+    d-th subdiagonal of E E'. Any F with F F' = E E' gives the same form.
+
+    The subdiagonals are gathered into the columns of one i x i array and
+    summed down them; the padding below a column's last term is summed too
+    but never read."""
+    gather, scatter = _subdiagonal_index(resid.shape[0])
+    partial = np.cumsum((resid @ resid.T).take(gather), axis=0)
+    return partial.take(scatter)
 
 
 def _invert_toeplitz_symbol(q: np.ndarray) -> np.ndarray:
     """First column of the inverse of the lower-triangular Toeplitz matrix
     with first column q (the inverse is lower-triangular Toeplitz too)."""
-    e_0 = np.eye(1, q.shape[0])[0]
-    return _checked(dtrtrs(toeplitz_from_col(q), e_0, lower=1),
+    e_0 = np.zeros(q.shape[0])
+    e_0[0] = 1.0
+    return _checked(dtrtrs(toeplitz_from_col(q), e_0, lower=1, overwrite_b=1),
                     "noise-factor symbol is singular")
 
 
@@ -285,17 +327,24 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
-            variant: str) -> np.ndarray:
+            variant: str, *, n_cols: int | None = None) -> np.ndarray:
     """Draw the noise factor G_f given the current residues.
 
     The last coordinate of nu is chi-distributed: chi_(j+1) under the
     Hankel-aware variant, chi_(ij-i+2) when entries are treated as
     independent. Writes the draw to state.g_f.
+
+    Under "independent" the likelihood reads only E E', so resid may be any
+    factor F with F F' = E E' when n_cols gives E's column count j.
+    "hankel_exact" reads E itself and rejects n_cols with ConfigError.
     """
     i, j = resid.shape
     if variant == "hankel_exact":
+        if n_cols is not None:
+            raise ConfigError("the hankel_exact noise update needs the residue itself")
         omega, chi_dof = _omega_hankel(resid), j + 1
     elif variant == "independent":
+        j = j if n_cols is None else n_cols
         omega, chi_dof = _omega_independent(resid), i * j - i + 2
     else:
         raise ConfigError(f"unknown gf variant {variant!r}")
@@ -321,7 +370,14 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         accum += state.gamma_f @ state.l_p
     diagnostics = [frobenius(state.gamma_f @ state.l_p)]
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
-    # identity block is filled once, the others each iteration
+    # identity block is filled once, the others each iteration. Under
+    # "independent" the same coefficients C times factor_t give C R~', a
+    # factor of the residue Gram C R~'R~ C', so no iteration reads the N
+    # data columns
+    if config.gf_variant == "independent":
+        columns, n_cols = state.factor_t, data.n_cols
+    else:
+        columns, n_cols = data.stacked, None
     y, z, u = data.row_slices
     resid_coef = np.zeros((data.f, data.stacked.shape[0]))
     resid_coef[:, y] = np.eye(data.f)
@@ -341,7 +397,7 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         product = gamma_draw @ l_draw
         np.negative(product, out=resid_coef[:, z])
         np.negative(h_draw, out=resid_coef[:, u])
-        step_gf(state, resid_coef @ data.stacked, rng, config.gf_variant)
+        step_gf(state, resid_coef @ columns, rng, config.gf_variant, n_cols=n_cols)
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")

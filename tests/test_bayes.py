@@ -384,6 +384,28 @@ def test_step_gf_updates_state():
     assert state.g_f is g
 
 
+def test_step_gf_factor_form_draws_what_the_residue_draws():
+    # "independent" reads only E E': any F with F F' = E E' and E's column
+    # count gives the same draw from the same stream
+    data, _, _ = _state(rank=2)
+    e = np.random.default_rng(7).standard_normal((3, data.n_cols)) * 0.4
+    r_t = np.linalg.qr(e.T, mode="r").T
+    for factor in (r_t, np.hstack([r_t, np.zeros((3, 2))]), -r_t[:, ::-1]):
+        _, _, state = _state(rank=2)
+        ref = step_gf(state, e, np.random.default_rng(8), "independent").copy()
+        _, _, state = _state(rank=2)
+        got = step_gf(state, factor, np.random.default_rng(8), "independent",
+                      n_cols=data.n_cols)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_step_gf_factor_form_is_not_the_hankel_likelihood():
+    data, _, state = _state(rank=2)
+    e = np.random.default_rng(7).standard_normal((3, data.n_cols))
+    with pytest.raises(ConfigError, match="hankel_exact"):
+        step_gf(state, e, np.random.default_rng(0), "hankel_exact", n_cols=data.n_cols)
+
+
 def test_step_gf_rejects_unknown_variant():
     data, ls, state = _state(rank=2)
     with pytest.raises(ConfigError):
@@ -587,9 +609,19 @@ def _step_gamma_hf_rebuilding(state, rng):
             (draw[:, :r], toeplitz_project(draw[:, r:])))
 
 
+def _stacked_factor_t(data):
+    """R' of a QR of the stacked rows taken as [Z_p; U_f; Y_f], its rows put
+    back in [Y_f; Z_p; U_f] order, so that its Gram is stacked stacked'."""
+    n_rows = data.stacked.shape[0]
+    r_t = scipy.linalg.qr(np.vstack([data.regressor, data.y_f]).T, mode="r")[0][:n_rows].T
+    return np.vstack([r_t[-data.f:], r_t[:-data.f]])
+
+
 def _run_gibbs_rebuilding(data, ls, config, rng):
     """run_gibbs with everything formed afresh in each iteration: the
-    precision, the projected H_f mean and [I, -Gamma L_p, -H_f]."""
+    precision, the projected H_f mean, [I, -Gamma L_p, -H_f] and, under
+    "independent", the QR of the data whose factor the residue coefficients
+    multiply."""
     state = init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, config.rank)
     accum = np.zeros_like(ls.h_fp_hat)
     if config.n_burn == 0:
@@ -600,8 +632,12 @@ def _run_gibbs_rebuilding(data, ls, config, rng):
         l_prev, state.gamma_f, state.h_f = state.l_p, gamma_draw, h_draw
         l_mean, l_draw = step_lp(state, rng)
         state.l_p = l_draw
-        resid = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw]) @ data.stacked
-        step_gf(state, resid, rng, config.gf_variant)
+        coef = np.hstack([np.eye(data.f), -gamma_draw @ l_draw, -h_draw])
+        if config.gf_variant == "independent":
+            step_gf(state, coef @ _stacked_factor_t(data), rng, "independent",
+                    n_cols=data.n_cols)
+        else:
+            step_gf(state, coef @ data.stacked, rng, "hankel_exact")
         diagnostics.append(float(np.linalg.norm(gamma_draw @ l_draw)))
         if n > config.n_burn:
             if config.rao_blackwell:

@@ -103,6 +103,33 @@ def test_chain_calls_its_steps_through_the_bayes_module_names(variant, monkeypat
     assert counts == {"step_gf": n - 1, "psd_sqrt": n - 1, "toeplitz_project": n}
 
 
+@pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
+def test_chain_noise_update_reads_the_data_columns_only_for_hankel_exact(variant, monkeypatch):
+    """Under "independent" each noise update gets the small factor of the
+    residue, one column per stacked data row; "hankel_exact" needs the N
+    columns of the residue itself."""
+    seen = []
+
+    def recording(state, resid, rng, gf_variant, **kwargs):
+        seen.append((resid.shape, kwargs.get("n_cols")))
+        return original(state, resid, rng, gf_variant, **kwargs)
+
+    original = bayes.step_gf
+    monkeypatch.setattr(bayes, "step_gf", recording)
+    rng = np.random.default_rng(1)
+    t = 90
+    u = rng.standard_normal(t)
+    y = np.convolve(u, [0.0, 1.0, 0.5])[:t] + 0.3 * rng.standard_normal(t)
+    data = assemble(u, y, 4, 4)
+    ls = ls_estimate(data)
+    bayes.run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
+                    bayes.GibbsConfig(rank=1, n_total=5, gf_variant=variant), rng)
+    n_rows, n_cols = data.stacked.shape
+    assert n_rows < n_cols
+    expected = ((data.f, n_rows), n_cols) if variant == "independent" else ((data.f, n_cols), None)
+    assert seen == [expected] * 4
+
+
 def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
     """Each iteration calls LAPACK directly; the one numpy.linalg call left
     is the eigh inside psd_sqrt."""
