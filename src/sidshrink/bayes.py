@@ -21,7 +21,7 @@ import scipy.linalg
 # than the small solve it wraps
 from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs, dtrtrs
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .estimation import HankelData
 from .linalg import (
     SelectorPair,
@@ -40,6 +40,8 @@ __all__ = [
     "step_gamma_hf",
     "step_lp",
     "step_gf",
+    "HankelForm",
+    "hankel_form",
     "run_gibbs",
 ]
 
@@ -71,7 +73,9 @@ class GibbsState:
     stacked stacked', as that Gram's blocks (yz = Y_f Z_p', ...), as
     y_zpinv = Y_f Z_p^+ and u_zpinv = U_f Z_p^+ (formed as yz (R'R)^-1 and
     uz (R'R)^-1), and as z_factor, the triangular R of Z_p with R'R =
-    Z_p Z_p'."""
+    Z_p Z_p'. The "hankel_exact" noise update reads the data through a
+    HankelForm instead, which run_gibbs builds and keeps outside the
+    state."""
 
     gamma_f: np.ndarray
     h_f: np.ndarray
@@ -239,25 +243,96 @@ def _skew(m: np.ndarray) -> np.ndarray:
     return buf.ravel()[: rows * (cols + rows - 1)].reshape(rows, cols + rows - 1)
 
 
-def _omega_hankel(resid: np.ndarray) -> np.ndarray:
-    """Quadratic form of the Hankel-aware likelihood.
-
-    Equals b_t' (E (x) I) b_w (b_w' b_w)^-1 b_w' (E' (x) I) b_t without
-    forming the Kronecker products: column m of s = b_w' (E' (x) I) b_t
-    holds the anti-diagonal sums of the first m+1 rows of E shifted down by
-    i-1-m rows, and b_w' b_w is the diagonal of anti-diagonal multiplicities.
-    """
+def _antidiagonal_sums(resid: np.ndarray) -> np.ndarray:
+    """The (i+j-1) x i matrix s = b_w' (E' (x) I) b_t of an i x j residue:
+    column m holds the anti-diagonal sums of the first m+1 rows of E
+    shifted down by i-1-m rows, s[d, m] = sum over a <= m of
+    E[a, d - (i-1-m) - a]."""
     i, j = resid.shape
-    n_coef = i + j - 1
     # row m: anti-diagonal sums of the first m+1 rows of the residue; a
     # running sum over rows gives np.cumsum(axis=0)'s bits without its
     # strided pass
     sums = _skew(resid)
     for m in range(1, i):
         np.add(sums[m - 1], sums[m], out=sums[m])
-    s = _skew(sums[::-1])[::-1, :n_coef].T
-    omega = s.T @ (s / _multiplicity(i, j))
+    return _skew(sums[::-1])[::-1, :i + j - 1].T
+
+
+def _omega_hankel(resid: np.ndarray) -> np.ndarray:
+    """Quadratic form of the Hankel-aware likelihood.
+
+    Equals b_t' (E (x) I) b_w (b_w' b_w)^-1 b_w' (E' (x) I) b_t without
+    forming the Kronecker products: s' D^-1 s for the anti-diagonal sums s
+    and D = b_w' b_w, the diagonal of anti-diagonal multiplicities.
+    """
+    s = _antidiagonal_sums(resid)
+    omega = s.T @ (s / _multiplicity(*resid.shape))
     return (omega + omega.T) / 2.0
+
+
+@dataclass(frozen=True)
+class HankelForm:
+    """The Hankel-aware quadratic form of a residue E = C stacked as a
+    function of the f x R coefficients C alone, so that no iteration
+    forms E's N columns; hankel_form builds it once per chain.
+
+    Every stacked row is a window of one signal, so rows f-1..N-1 of the
+    anti-diagonal sums s of E equal W G(C), with W the (N-f+1) x
+    n_sig(2f+p-1) signal windows and G(C) a scatter-sum of C's entries
+    (flat indices source into C, target into G), and each of those rows
+    has multiplicity f. With root = R_W / sqrt(f), R_W the triangular (or,
+    when W has fewer rows than columns, trapezoidal) factor of a QR of W,
+    root G is a factor of their part of the form. The other 2(f-1) rows
+    of s read only E's first and last f-1 columns, C edge_columns, and
+    are scaled by edge_scale, one over the root of their multiplicity.
+    """
+
+    root: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    edge_columns: np.ndarray
+    edge_scale: np.ndarray
+    n_cols: int
+
+    def omega(self, coef: np.ndarray) -> np.ndarray:
+        """_omega_hankel(coef @ stacked) up to rounding."""
+        i = coef.shape[0]
+        g = np.bincount(self.target, coef.take(self.source), self.root.shape[1] * i)
+        # the 3(f-1) rows of s: the first f-1 columns' edge, f-1 rows that
+        # mix both edges and belong to no row of E's sums, the last f-1
+        # columns' edge
+        s = _antidiagonal_sums(coef @ self.edge_columns)
+        factor = np.vstack([self.root @ g.reshape(-1, i),
+                            np.vstack([s[:i - 1], s[2 * i - 2:]]) * self.edge_scale])
+        omega = factor.T @ factor
+        return (omega + omega.T) / 2.0
+
+
+def hankel_form(data: HankelData) -> HankelForm:
+    """The HankelForm of data's stacked rows: one QR of the signal windows
+    and the scatter indices of G(C). Column m of s sums residue rows
+    a <= m shifted by m - a, so C[a, q] lands in G at signal lag
+    base[q] + m - a, and the windows need 2f + p - 1 lags. The form needs
+    N >= f and stacked rows that are Hankel windows; either failing raises
+    DataError."""
+    i, j = data.f, data.n_cols
+    if j < i:
+        raise DataError(f"the hankel_exact noise update needs N >= f columns, have N = {j} "
+                        f"< f = {i}")
+    windows, base = data.signal_windows(2 * i + data.p - 1)
+    qr = _checked(dgeqrf(windows, overwrite_a=1), "QR of the signal windows")
+    a, m = np.triu_indices(i)
+    n_rows = base.size
+    edge = np.r_[np.arange(i - 1), np.arange(j - i + 1, j)]
+    weight = np.r_[np.arange(1, i), np.arange(i - 1, 0, -1)]
+    return HankelForm(
+        root=np.triu(qr[:min(qr.shape)]) / np.sqrt(i),
+        source=(a[:, None] * n_rows + np.arange(n_rows)).ravel(),
+        target=((base + (m - a)[:, None]) * i + m[:, None]).ravel(),
+        edge_columns=data.stacked[:, edge],
+        edge_scale=1.0 / np.sqrt(weight)[:, None],
+        n_cols=j,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,7 +402,8 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
-            variant: str, *, n_cols: int | None = None) -> np.ndarray:
+            variant: str, *, n_cols: int | None = None,
+            form: HankelForm | None = None) -> np.ndarray:
     """Draw the noise factor G_f given the current residues.
 
     The last coordinate of nu is chi-distributed: chi_(j+1) under the
@@ -336,14 +412,22 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
 
     Under "independent" the likelihood reads only E E', so resid may be any
     factor F with F F' = E E' when n_cols gives E's column count j.
-    "hankel_exact" reads E itself and rejects n_cols with ConfigError.
+    "hankel_exact" reads E's anti-diagonals: resid is E itself, or, with
+    form = hankel_form(data), the coefficients C of E = C data.stacked.
+    Each variant rejects the other's keyword with ConfigError.
     """
     i, j = resid.shape
     if variant == "hankel_exact":
         if n_cols is not None:
             raise ConfigError("the hankel_exact noise update needs the residue itself")
-        omega, chi_dof = _omega_hankel(resid), j + 1
+        if form is None:
+            omega = _omega_hankel(resid)
+        else:
+            omega, j = form.omega(resid), form.n_cols
+        chi_dof = j + 1
     elif variant == "independent":
+        if form is not None:
+            raise ConfigError("the independent noise update reads no Hankel form")
         j = j if n_cols is None else n_cols
         omega, chi_dof = _omega_independent(resid), i * j - i + 2
     else:
@@ -362,6 +446,10 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     (E[Gamma^(n)] L^(n-1) + Gamma^(n) E[L^(n)]) / 2, using the conditional
     means computed alongside the draws. Divergence (non-finite draw) raises
     NumericalError with the iteration index.
+
+    No iteration reads the N data columns: the noise update gets the
+    f x R residue coefficients C, times factor_t under "independent" and
+    through the chain's one hankel_form(data) under "hankel_exact".
     """
     state = init_gibbs(h_fp_hat, h_f_hat, data, config.rank)
     accum = np.zeros_like(h_fp_hat, dtype=float)
@@ -372,12 +460,10 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
     # identity block is filled once, the others each iteration. Under
     # "independent" the same coefficients C times factor_t give C R~', a
-    # factor of the residue Gram C R~'R~ C', so no iteration reads the N
-    # data columns
-    if config.gf_variant == "independent":
-        columns, n_cols = state.factor_t, data.n_cols
-    else:
-        columns, n_cols = data.stacked, None
+    # factor of the residue Gram C R~'R~ C'; under "hankel_exact" the
+    # form reads C itself. So no iteration reads the N data columns
+    independent = config.gf_variant == "independent"
+    form = None if independent else hankel_form(data)
     y, z, u = data.row_slices
     resid_coef = np.zeros((data.f, data.stacked.shape[0]))
     resid_coef[:, y] = np.eye(data.f)
@@ -397,7 +483,10 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         product = gamma_draw @ l_draw
         np.negative(product, out=resid_coef[:, z])
         np.negative(h_draw, out=resid_coef[:, u])
-        step_gf(state, resid_coef @ columns, rng, config.gf_variant, n_cols=n_cols)
+        if independent:
+            step_gf(state, resid_coef @ state.factor_t, rng, "independent", n_cols=data.n_cols)
+        else:
+            step_gf(state, resid_coef, rng, "hankel_exact", form=form)
 
         if not np.isfinite(state.g_f).all():
             raise NumericalError(f"chain diverged at iteration {n}")

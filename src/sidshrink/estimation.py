@@ -58,9 +58,10 @@ class HankelData:
     """Past/future block Hankel matrices of one realization: the rows of one
     stacked [Y_f; Z_p; U_f] array, Z_p = [U_p; Y_p], of which y_f, z_p, u_f
     and regressor = [Z_p; U_f] are row views formed on first read. Only this
-    class knows that layout; row_slices gives its row ranges. z_factor is
-    the triangular factor of Z_p that the n4sid weights and the Gibbs chain
-    share."""
+    class knows that layout: row_slices gives its row ranges, and
+    signal_windows the samples behind its rows, which the Hankel-aware
+    noise update of the Gibbs chain reads. z_factor is the triangular
+    factor of Z_p that the n4sid weights and the Gibbs chain share."""
 
     stacked: np.ndarray
     f: int
@@ -108,6 +109,42 @@ class HankelData:
         out = np.linalg.qr(self.z_p.T, mode="r")
         out.setflags(write=False)
         return out
+
+    def signal_windows(self, n_lags: int) -> tuple[np.ndarray, np.ndarray]:
+        """The T = N + f + p - 1 samples behind stacked, as windows.
+
+        Returns (windows, base): windows[t, k * n_lags + l] is sample t + l
+        of signal k (the n_i inputs, then the n_o outputs) for the
+        T - n_lags + 1 windows that fit, and stacked row q holds signal k
+        from lag l, base[q] = k * n_lags + l, so that stacked[q, t + d] =
+        windows[t, base[q] + d]. Rows that are not windows of one record
+        raise DataError; n_lags must lie in [f + p, T].
+        """
+        f, p, n_i, n_o, n = self.f, self.p, self.n_i, self.n_o, self.n_cols
+        signal, lag = [], []
+        # (first lag, block rows, channels, first signal) of Y_f, U_p, Y_p, U_f
+        for first_lag, rows, n_ch, first_signal in (
+                (p, f, n_o, n_i), (0, p, n_i, 0), (0, p, n_o, n_i), (p, f, n_i, 0)):
+            q = np.arange(rows * n_ch)
+            signal.append(first_signal + q % n_ch)
+            lag.append(first_lag + q // n_ch)
+        signal, lag = np.concatenate(signal), np.concatenate(lag)
+        samples = np.empty((n + f + p - 1, n_i + n_o))
+        samples[lag + n - 1, signal] = self.stacked[:, -1]
+        first = lag == 0
+        samples[:n, signal[first]] = self.stacked[first].T
+        rebuilt = hankel_windows(samples, n)[lag, signal]
+        # NaN samples are windows too; the exact test alone is the fast path
+        if not (np.array_equal(rebuilt, self.stacked)
+                or np.array_equal(rebuilt, self.stacked, equal_nan=True)):
+            raise DataError("the stacked rows are not windows of one input/output record")
+        if not f + p <= n_lags <= samples.shape[0]:
+            raise ValueError(f"n_lags {n_lags} outside [{f + p}, {samples.shape[0]}]")
+        n_windows = samples.shape[0] - n_lags + 1
+        # built as the C-ordered transpose, so windows is in Fortran order,
+        # the order LAPACK reads without a copy
+        windows_t = hankel_windows(samples, n_windows).transpose(1, 0, 2)
+        return windows_t.reshape(-1, n_windows).T, signal * n_lags + lag
 
     def full_rank_z_factor(self, caller: str) -> np.ndarray:
         """z_factor, or NumericalError naming the caller when Z_p is (near)

@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +19,7 @@ from sidshrink.bayes import (
     step_gf,
     step_lp,
 )
-from sidshrink.errors import ConfigError, NumericalError
+from sidshrink.errors import ConfigError, DataError, NumericalError
 from sidshrink.estimation import HankelData, assemble, ls_estimate
 from sidshrink.linalg import build_selectors, psd_sqrt, toeplitz_from_col, toeplitz_project, vec
 
@@ -308,6 +310,87 @@ def test_omega_hankel_running_sum_is_the_cumsum_form_bit_for_bit():
         w = np.minimum(np.minimum(np.arange(1, n_coef + 1), np.arange(n_coef, 0, -1)), min(i, j))
         omega = s.T @ (s / w[:, None])
         assert np.array_equal(_omega_hankel(e), (omega + omega.T) / 2.0)
+
+
+def _dense_hankel_omega(resid):
+    """The Hankel-aware form through the explicit selector matrices."""
+    i, j = resid.shape
+    sel = build_selectors(i, j)
+    m = np.kron(resid.T, np.eye(i)) @ sel.b_t
+    omega = m.T @ sel.b_w @ np.linalg.solve(sel.b_w.T @ sel.b_w, sel.b_w.T @ m)
+    return (omega + omega.T) / 2.0
+
+
+def _assert_form_matches(f, p, n, seed):
+    rng = np.random.default_rng(seed)
+    t = n + f + p - 1
+    data = assemble(rng.standard_normal(t), rng.standard_normal(t) * rng.uniform(0.1, 10.0), f, p)
+    coef = rng.standard_normal((f, data.stacked.shape[0]))
+    coef[:, :f] = np.eye(f)     # the chain's [I, -Gamma L_p, -H_f] has this block
+    got = bayes.hankel_form(data).omega(coef)
+    refs = [_omega_hankel(coef @ data.stacked)]
+    if f * n <= 400:
+        refs.append(_dense_hankel_omega(coef @ data.stacked))
+    for ref in refs:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.example(f=4, p=2, extra=0, seed=1)
+@hypothesis.example(f=3, p=6, extra=1, seed=2)
+@hypothesis.given(f=st.integers(1, 7), p=st.integers(1, 7), extra=st.sampled_from([0, 1, 2, 9, 31]),
+                  seed=st.integers(0, 2**32 - 1))
+def test_hankel_form_is_the_residue_form(f, p, extra, seed):
+    # N = f and N = f + 1 leave fewer windows than window columns, so the
+    # windows' QR factor is trapezoidal
+    _assert_form_matches(f, p, f + extra, seed)
+
+
+def test_hankel_form_is_the_residue_form_at_the_long_record_size():
+    _assert_form_matches(20, 20, 1961, 0)
+
+
+def test_hankel_exact_chain_rejects_rows_that_are_not_windows():
+    data, ls, _ = _state(rank=1)
+    swapped = HankelData(stacked=data.stacked[[1, 0, *range(2, data.stacked.shape[0])]],
+                         f=data.f, p=data.p, n_i=1, n_o=1)
+    cfg = GibbsConfig(rank=1, n_total=5, gf_variant="hankel_exact")
+    with pytest.raises(DataError, match="not windows"):
+        run_gibbs(swapped, ls.h_fp_hat, ls.h_f_hat, cfg, np.random.default_rng(0))
+    # the independent update reads only the residue Gram, which needs no windows
+    run_gibbs(swapped, ls.h_fp_hat, ls.h_f_hat, GibbsConfig(rank=1, n_total=5),
+              np.random.default_rng(0))
+
+
+def test_hankel_exact_chain_needs_as_many_columns_as_rows():
+    # f = 5 future rows over N = 3 columns: Z_p (2 x 3) still has full rank
+    rng = np.random.default_rng(3)
+    f, p, n = 5, 1, 3
+    data = assemble(rng.standard_normal(n + f + p - 1), rng.standard_normal(n + f + p - 1), f, p)
+    h_fp, h_f = rng.standard_normal((f, 2 * p)), np.eye(f)
+    with pytest.raises(DataError, match="N >= f"):
+        run_gibbs(data, h_fp, h_f, GibbsConfig(rank=1, n_total=5, gf_variant="hankel_exact"),
+                  np.random.default_rng(0))
+    with pytest.raises(DataError, match="N >= f"):
+        bayes.hankel_form(data)
+
+
+def test_step_gf_variants_reject_each_others_data_form():
+    data, _, state = _state(rank=2)
+    coef = np.random.default_rng(9).standard_normal((3, data.stacked.shape[0]))
+    with pytest.raises(ConfigError, match="Hankel form"):
+        step_gf(state, coef, np.random.default_rng(0), "independent", form=bayes.hankel_form(data))
+
+
+def test_step_gf_form_draws_what_the_residue_draws():
+    data, _, _ = _state(rank=2)
+    coef = np.random.default_rng(10).standard_normal((3, data.stacked.shape[0]))
+    _, _, state = _state(rank=2)
+    ref = step_gf(state, coef @ data.stacked, np.random.default_rng(8), "hankel_exact").copy()
+    _, _, state = _state(rank=2)
+    got = step_gf(state, coef, np.random.default_rng(8), "hankel_exact",
+                  form=bayes.hankel_form(data))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_invert_toeplitz_symbol_gives_the_inverse():
@@ -619,9 +702,10 @@ def _stacked_factor_t(data):
 
 def _run_gibbs_rebuilding(data, ls, config, rng):
     """run_gibbs with everything formed afresh in each iteration: the
-    precision, the projected H_f mean, [I, -Gamma L_p, -H_f] and, under
-    "independent", the QR of the data whose factor the residue coefficients
-    multiply."""
+    precision, the projected H_f mean, [I, -Gamma L_p, -H_f] and the data
+    form the residue coefficients go through: under "independent" the QR of
+    the data whose factor they multiply, under "hankel_exact" the windows
+    form of the Hankel-aware likelihood."""
     state = init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, config.rank)
     accum = np.zeros_like(ls.h_fp_hat)
     if config.n_burn == 0:
@@ -637,7 +721,7 @@ def _run_gibbs_rebuilding(data, ls, config, rng):
             step_gf(state, coef @ _stacked_factor_t(data), rng, "independent",
                     n_cols=data.n_cols)
         else:
-            step_gf(state, coef @ data.stacked, rng, "hankel_exact")
+            step_gf(state, coef, rng, "hankel_exact", form=bayes.hankel_form(data))
         diagnostics.append(float(np.linalg.norm(gamma_draw @ l_draw)))
         if n > config.n_burn:
             if config.rao_blackwell:

@@ -101,6 +101,42 @@ def test_assemble_blocks_are_row_views_of_one_buffer(n_i, n_o, one_dim):
     assert np.array_equal(data.regressor, buf[f * n_o:])
 
 
+@pytest.mark.parametrize("n_i, n_o, n_lags", [(1, 1, 7), (1, 1, 12), (2, 3, 10), (1, 2, 57)])
+def test_signal_windows_are_the_samples_behind_the_rows(n_i, n_o, n_lags):
+    rng = np.random.default_rng(n_i + 4 * n_o)
+    t, f, p = 57, 4, 3
+    u, y = rng.standard_normal((t, n_i)), rng.standard_normal((t, n_o))
+    data = assemble(u, y, f, p)
+    windows, base = data.signal_windows(n_lags)
+    signals = np.hstack([u, y])
+    assert windows.shape == (t - n_lags + 1, (n_i + n_o) * n_lags)
+    for k in range(n_i + n_o):
+        assert np.array_equal(windows[:, k * n_lags:(k + 1) * n_lags],
+                              build_hankel(signals[:, k], t - n_lags + 1, n_lags))
+    # stacked[q, t + d] = windows[t, base[q] + d] wherever both exist
+    for q in range(data.stacked.shape[0]):
+        for d in range(n_lags - base[q] % n_lags):
+            m = min(windows.shape[0], data.n_cols - d)
+            assert np.array_equal(data.stacked[q, d:d + m], windows[:m, base[q] + d])
+    with pytest.raises(ValueError, match="n_lags"):
+        data.signal_windows(f + p - 1)
+    with pytest.raises(ValueError, match="n_lags"):
+        data.signal_windows(t + 1)
+
+
+def test_signal_windows_reject_rows_that_are_not_windows():
+    rng = np.random.default_rng(2)
+    u, y = rng.standard_normal(40), rng.standard_normal(40)
+    data = assemble(u, y, 3, 2)
+    nan_data = assemble(u, np.where(np.arange(40) == 17, np.nan, y), 3, 2)
+    assert np.isnan(nan_data.signal_windows(8)[0]).any()
+    for stacked in (data.stacked[:, ::-1], data.stacked[[1, 0, *range(2, 10)]],
+                    data.stacked + np.eye(10, data.n_cols, 5) * 1e-12):
+        bad = HankelData(stacked=np.ascontiguousarray(stacked), f=3, p=2, n_i=1, n_o=1)
+        with pytest.raises(DataError, match="not windows"):
+            bad.signal_windows(8)
+
+
 def test_hand_built_blocks_are_row_views_of_stacked():
     f, p = 3, 2
     stacked = np.random.default_rng(0).standard_normal((10, 30))

@@ -104,14 +104,15 @@ def test_chain_calls_its_steps_through_the_bayes_module_names(variant, monkeypat
 
 
 @pytest.mark.parametrize("variant", ["independent", "hankel_exact"])
-def test_chain_noise_update_reads_the_data_columns_only_for_hankel_exact(variant, monkeypatch):
-    """Under "independent" each noise update gets the small factor of the
-    residue, one column per stacked data row; "hankel_exact" needs the N
-    columns of the residue itself."""
+def test_chain_noise_update_reads_no_data_columns(variant, monkeypatch):
+    """Each noise update gets f x R residue coefficients or their factor,
+    one column per stacked data row, never the N columns of the residue:
+    "independent" the factor C R~' with n_cols = N, "hankel_exact" C itself
+    with the chain's one windows form."""
     seen = []
 
     def recording(state, resid, rng, gf_variant, **kwargs):
-        seen.append((resid.shape, kwargs.get("n_cols")))
+        seen.append((resid.shape, kwargs.get("n_cols"), kwargs.get("form")))
         return original(state, resid, rng, gf_variant, **kwargs)
 
     original = bayes.step_gf
@@ -126,8 +127,14 @@ def test_chain_noise_update_reads_the_data_columns_only_for_hankel_exact(variant
                     bayes.GibbsConfig(rank=1, n_total=5, gf_variant=variant), rng)
     n_rows, n_cols = data.stacked.shape
     assert n_rows < n_cols
-    expected = ((data.f, n_rows), n_cols) if variant == "independent" else ((data.f, n_cols), None)
-    assert seen == [expected] * 4
+    assert [shape for shape, _, _ in seen] == [(data.f, n_rows)] * 4
+    forms = [form for _, _, form in seen]
+    if variant == "independent":
+        assert [n for _, n, _ in seen] == [n_cols] * 4 and forms == [None] * 4
+    else:
+        assert [n for _, n, _ in seen] == [None] * 4
+        assert isinstance(forms[0], bayes.HankelForm)
+        assert all(form is forms[0] for form in forms)
 
 
 def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
