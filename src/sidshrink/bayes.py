@@ -26,6 +26,7 @@ from .estimation import HankelData
 from .linalg import (
     SelectorPair,
     build_selectors,
+    checked,
     frobenius,
     psd_sqrt,
     toeplitz_from_col,
@@ -139,7 +140,7 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     y, z, u = data.row_slices
     order = np.arange(data.stacked.shape[0])
     order = np.concatenate([order[z], order[u], order[y]])
-    qr = _checked(dgeqrf(data.stacked[order].T, overwrite_a=1), "QR of the stacked data")
+    qr = checked(dgeqrf(data.stacked[order].T, overwrite_a=1), "QR of the stacked data")
     factor_t = np.empty((order.size, min(qr.shape)))
     factor_t[order] = np.triu(qr[:order.size]).T
     gram = factor_t @ factor_t.T
@@ -162,14 +163,6 @@ def init_gibbs(h_fp_hat: np.ndarray, h_f_hat: np.ndarray, data: HankelData,
     )
 
 
-def _checked(result: tuple, what: str) -> np.ndarray:
-    """The first array of a LAPACK (array, ..., info) tuple; a nonzero info
-    raises NumericalError naming the failed step."""
-    if result[-1] != 0:
-        raise NumericalError(f"{what} (LAPACK info {result[-1]})")
-    return result[0]
-
-
 def _gamma_hf_parts(state: GibbsState):
     """Posterior mean and the lower Cholesky factor L of the precision for
     the [Gamma_f H_f] draw.
@@ -189,9 +182,9 @@ def _gamma_hf_parts(state: GibbsState):
     gram[r:, :r] = gram[:r, r:].T
     gram[r:, r:] = state.lambda_h + gamma_scalar * state.uu
     gram = (gram + gram.T) / 2.0
-    chol = _checked(dpotrf(gram, lower=1), "[Gamma_f H_f] precision not positive definite")
+    chol = checked(dpotrf(gram, lower=1), "[Gamma_f H_f] precision not positive definite")
     y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
-    mean = gamma_scalar * _checked(dpotrs(chol, y_reg.T, lower=1), "[Gamma_f H_f] mean").T
+    mean = gamma_scalar * checked(dpotrs(chol, y_reg.T, lower=1), "[Gamma_f H_f] mean").T
     return mean, chol
 
 
@@ -205,7 +198,7 @@ def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
     mean, chol = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
-    root_xi = _checked(dtrtrs(chol, xi.T, lower=1, trans=1), "[Gamma_f H_f] draw").T
+    root_xi = checked(dtrtrs(chol, xi.T, lower=1, trans=1), "[Gamma_f H_f] draw").T
     draw = mean + g_bar @ root_xi
     r = state.l_p.shape[0]
     return mean[:, :r], (draw[:, :r], toeplitz_project(draw[:, r:]))
@@ -224,14 +217,14 @@ def step_lp(state: GibbsState, rng: np.random.Generator):
     have covariance R^-1 R'^-1 = (Z_p Z_p')^-1 = Z_p^+' Z_p^+, the law of
     r x N normals times Z_p^+.
     """
-    sinv_gamma = _checked(dpotrs(state.g_f, state.gamma_f, lower=1), "S^-1 Gamma_f")
+    sinv_gamma = checked(dpotrs(state.g_f, state.gamma_f, lower=1), "S^-1 Gamma_f")
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
     prec = (prec + prec.T) / 2.0
     rhs = sinv_gamma.T @ state.y_zpinv - (sinv_gamma.T @ state.h_f) @ state.u_zpinv
     root = psd_sqrt(prec, inverse=True)
     mean = root @ (root @ rhs)
     xi = rng.standard_normal(mean.shape)
-    xi_r = _checked(dtrtrs(state.z_factor, xi.T), "L_p draw").T
+    xi_r = checked(dtrtrs(state.z_factor, xi.T), "L_p draw").T
     return mean, mean + root @ xi_r
 
 
@@ -320,7 +313,7 @@ def hankel_form(data: HankelData) -> HankelForm:
         raise DataError(f"the hankel_exact noise update needs N >= f columns, have N = {j} "
                         f"< f = {i}")
     windows, base = data.signal_windows(2 * i + data.p - 1)
-    qr = _checked(dgeqrf(windows, overwrite_a=1), "QR of the signal windows")
+    qr = checked(dgeqrf(windows, overwrite_a=1), "QR of the signal windows")
     a, m = np.triu_indices(i)
     n_rows = base.size
     edge = np.r_[np.arange(i - 1), np.arange(j - i + 1, j)]
@@ -378,8 +371,8 @@ def _invert_toeplitz_symbol(q: np.ndarray) -> np.ndarray:
     with first column q (the inverse is lower-triangular Toeplitz too)."""
     e_0 = np.zeros(q.shape[0])
     e_0[0] = 1.0
-    return _checked(dtrtrs(toeplitz_from_col(q), e_0, lower=1, overwrite_b=1),
-                    "noise-factor symbol is singular")
+    return checked(dtrtrs(toeplitz_from_col(q), e_0, lower=1, overwrite_b=1),
+                   "noise-factor symbol is singular")
 
 
 def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +389,7 @@ def _gf_from_nu(omega: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"noise-update quadratic form not positive definite "
             f"(min eigenvalue {min_eig:.3e})"
         )
-    row = _checked(dtrtrs(om_l, nu, lower=1, trans=1), "noise-factor row")
+    row = checked(dtrtrs(om_l, nu, lower=1, trans=1), "noise-factor row")
     # row[::-1][d] is the subdiagonal-d coefficient of G_f^-1
     return toeplitz_from_col(_invert_toeplitz_symbol(row[::-1])), row
 

@@ -212,6 +212,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_identify(args: argparse.Namespace) -> int:
     resolved = parse_config(args)
     u, y, meta = read_timeseries(args.data)
+    # the weights call LAPACK without scipy's finiteness check
+    finite = np.isfinite(u).all(axis=1) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{args.data}: non-finite sample in data row "
+                        f"{int(np.argmin(finite)) + 1}")
     t_samples = u.shape[0]
     f, p = meta.get("f", t_samples // 10), meta.get("p", t_samples // 10)
     if not all(type(h) is int and h >= 1 for h in (f, p)):

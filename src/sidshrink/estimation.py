@@ -19,10 +19,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+# the weights call LAPACK directly, with the arguments scipy.linalg passes,
+# so their bits are scipy's without the wrappers' checks and dispatch, a
+# large share of these small factorisations
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dtrtrs
 
 from .errors import DataError, NumericalError
-from .linalg import hankel_windows, toeplitz_project
+from .linalg import checked, hankel_windows, toeplitz_project
 from .shrinkage import soft_threshold_level
 
 __all__ = [
@@ -190,7 +193,9 @@ class WeightPair:
 
     factor1 caches lambda_max(w2' (Z_p Pi Z_p')^-1 w2), Pi the orthogonal
     projector onto the complement of the future-input row space, for the
-    noise-level computation; it is None when Z_p Pi Z_p' is singular.
+    noise-level computation: exactly 1.0 under cva, whose w2 is the
+    symmetric root of Z_p Pi Z_p', and computed by a congruence under
+    identity and n4sid, where it is None when Z_p Pi Z_p' is singular.
     """
 
     w1: np.ndarray
@@ -314,8 +319,15 @@ def estimate_noise(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
 def _zpz_perp(data: HankelData) -> np.ndarray:
     """Z_p Pi Z_p' with Pi the projector onto the orthogonal complement of
     the U_f row space, computed from an orthonormal basis of U_f' (no N x N
-    projector is ever formed)."""
-    q = scipy.linalg.orth(data.u_f.T)
+    projector is ever formed). The basis is scipy.linalg.orth(U_f') bit for
+    bit: the left vectors of dgesdd's thin SVD whose values exceed
+    max(M, N) eps s_1."""
+    a = data.u_f.T
+    lwork = checked(dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0),
+                    "SVD workspace of U_f'")
+    svd = dgesdd(a, compute_uv=1, full_matrices=0, lwork=int(lwork))
+    u, s = checked(svd, "SVD of U_f'"), svd[1]
+    q = u[:, :np.sum(s > s.max(initial=0.0) * (np.finfo(float).eps * max(a.shape)))]
     zq = data.z_p @ q
     out = data.z_p @ data.z_p.T - zq @ zq.T
     return (out + out.T) / 2.0
@@ -324,13 +336,14 @@ def _zpz_perp(data: HankelData) -> np.ndarray:
 def _max_eig_congruence(zpz: np.ndarray, w2: np.ndarray) -> float | None:
     """lambda_max(w2' zpz^-1 w2) as the top eigenvalue of L^-1 (w2 w2') L^-T,
     zpz = L L': the solves run on the square Gram w2 w2', never on the
-    columns of a wide w2."""
+    columns of a wide w2. L is C-ordered, so each solve hands dtrtrs L' as
+    an upper factor with trans=1, as scipy.linalg.solve_triangular does."""
     try:
         chol = np.linalg.cholesky(zpz)
     except np.linalg.LinAlgError:
         return None
-    x = scipy.linalg.solve_triangular(chol, w2 @ w2.T, lower=True)
-    gram = scipy.linalg.solve_triangular(chol, x.T, lower=True)
+    x = checked(dtrtrs(chol.T, w2 @ w2.T, lower=0, trans=1), "L^-1 w2 w2' solve")
+    gram = checked(dtrtrs(chol.T, x.T, lower=0, trans=1), "L^-1 (w2 w2') L^-T solve")
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
@@ -339,11 +352,17 @@ def build_weights(scheme: str, data: HankelData,
     """Weight pair for one scheme.
 
     identity: w1 = I, w2 = I.
-    cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2).
+    cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2), the symmetric root
+              from one eigh, so factor1 is 1.0 with no further factorisation.
     n4sid:    w1 = I, w2 = R' with R = data.z_factor, the triangular factor
               of a thin QR of Z_p', so that R'R = Z_p Z_p' and ||h R'|| =
               ||h Z_p|| for every h; w2_pinv is its triangular inverse. A
               (near) rank-deficient Z_p raises NumericalError.
+
+    The SVD and triangular solves call LAPACK directly and skip scipy's
+    finiteness check, so the data must be finite; a nonzero LAPACK info
+    raises NumericalError naming the step. The triangular factors g_f_hat
+    and R are C-ordered, so each is solved as the transposed system.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -361,7 +380,7 @@ def build_weights(scheme: str, data: HankelData,
             raise ValueError("cva weights need g_f_hat")
         if np.min(np.abs(np.diag(g_f_hat))) <= RCOND * np.max(np.abs(np.diag(g_f_hat))):
             raise NumericalError("cva scheme: estimated noise factor is singular")
-        w1 = scipy.linalg.solve_triangular(g_f_hat, eye_rows, lower=True)
+        w1 = checked(dtrtrs(g_f_hat.T, eye_rows, lower=0, trans=1), "cva W1 solve")
         w1_inv = np.asarray(g_f_hat, dtype=float)
         evals, evecs = np.linalg.eigh(zpz)
         if evals[0] <= RCOND * max(evals[-1], np.finfo(float).tiny):
@@ -373,11 +392,14 @@ def build_weights(scheme: str, data: HankelData,
         w1_inv = eye_rows
         r = data.full_rank_z_factor("n4sid scheme")
         w2 = r.T
-        w2_pinv = scipy.linalg.solve_triangular(r, np.eye(n_past), lower=False).T
+        w2_pinv = checked(dtrtrs(r.T, np.eye(n_past), lower=1, trans=1),
+                          "n4sid W2 inverse solve").T
     return WeightPair(
         w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
         n_cols=data.n_cols if scheme == "n4sid" else n_past,
-        factor1=_max_eig_congruence(zpz, w2),
+        # under cva zpz = V L V' and w2 = V L^(1/2) V', so w2' zpz^-1 w2 = I
+        # exactly; the congruence would return 1 only to within ~1e-9
+        factor1=1.0 if scheme == "cva" else _max_eig_congruence(zpz, w2),
     )
 
 
@@ -386,7 +408,9 @@ def noise_level(weights: WeightPair, g_hat_sq: np.ndarray) -> float:
 
         sigma^2 = lambda_max(w2' (Z_p Pi Z_p')^-1 w2) * lambda_max(w1 GG' w1')
 
-    floored at SIGMA_FLOOR so thresholds stay finite on noiseless data.
+    floored at SIGMA_FLOOR so thresholds stay finite on noiseless data. The
+    first factor is weights.factor1, 1.0 under cva, so there sigma^2 =
+    lambda_max(w1 GG' w1').
     """
     if weights.factor1 is None:
         raise NumericalError("noise level undefined: Z_p Pi Z_p' is singular")

@@ -1,5 +1,6 @@
 """Structured-matrix helpers: block Hankel builders, Toeplitz selectors,
-symmetric matrix roots, pseudo-determinants, the Frobenius norm.
+symmetric matrix roots, pseudo-determinants, the Frobenius norm, and the
+info check of direct LAPACK calls.
 
 Vectorisation convention: vec() stacks columns (column-major), matching the
 selector matrices built here. All functions are pure and never mutate their
@@ -17,6 +18,7 @@ from .errors import DataError, NumericalError
 
 __all__ = [
     "SelectorPair",
+    "checked",
     "vec",
     "build_hankel",
     "hankel_windows",
@@ -30,6 +32,14 @@ __all__ = [
 
 _PD_REL = 1e-12     # psd_sqrt inverts only above this share of the top eigenvalue
 _RANK_REL = 1e-10   # pseudo_det keeps singular values above this share of s_max
+
+
+def checked(result: tuple, what: str) -> np.ndarray:
+    """The first array of a LAPACK (array, ..., info) tuple; a nonzero info
+    raises NumericalError naming the failed step."""
+    if result[-1] != 0:
+        raise NumericalError(f"{what} (LAPACK info {result[-1]})")
+    return result[0]
 
 
 def vec(m: np.ndarray) -> np.ndarray:

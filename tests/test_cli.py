@@ -230,6 +230,23 @@ def test_identify_degenerate_data_is_numerical_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("column", ["u", "y"])
+def test_identify_non_finite_record_is_data_error(tmp_path, capfd, value, column):
+    rng = np.random.default_rng(0)
+    u, y = rng.standard_normal((80, 1)), rng.standard_normal((80, 1))
+    (u if column == "u" else y)[36, 0] = value
+    path = tmp_path / "non_finite.csv"
+    write_timeseries(path, u, y, config={"f": 3, "p": 3})
+    for argv in (["--method", "hard", "--scheme", "cva"],
+                 ["--method", "bayes", "--scheme", "n4sid", "--nf", "4"]):
+        assert _run(["identify", str(path), "--out", str(tmp_path / "out.csv"), *argv]) == 3
+        err = capfd.readouterr().err
+        assert f"{path}: non-finite sample in data row 37" in err
+        assert "Traceback" not in err and "DLASCL" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("header, message", [
     ('{"f": "abc"}', "f='abc'"),
     ('{"f": null}', "f=None"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 from _util import projection_gap, quiet_decomposition, shift_model, sim_dataset, siso_model
 from sidshrink.bayes import init_gibbs
 from sidshrink.bench import draw_realization
+from sidshrink import estimation
 from sidshrink.errors import DataError, NumericalError
 from sidshrink.estimation import (
     HankelData,
@@ -330,20 +333,83 @@ def _max_eig_congruence_wide(zpz, w2):
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
-def test_small_side_lambda_max_equals_the_wide_form():
-    checked = 0
-    for run_id in range(12):
+def _protocol_weights(run_ids):
+    """(data, g_f_hat, zpz, {scheme: weights}) of protocol realizations."""
+    for run_id in run_ids:
         draw = draw_realization(0, run_id, 0)
         data = assemble(draw.u, draw.y, draw.f, draw.p)
         ls = ls_estimate(data)
-        noise = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat)
-        zpz = _zpz_perp(data)
-        for scheme in ("identity", "cva", "n4sid"):
-            w = build_weights(scheme, data, g_f_hat=noise.g_f_hat)
+        g_f_hat = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_f_hat
+        yield data, g_f_hat, _zpz_perp(data), {
+            scheme: build_weights(scheme, data, g_f_hat=g_f_hat)
+            for scheme in ("identity", "cva", "n4sid")}
+
+
+def test_small_side_lambda_max_equals_the_wide_form():
+    checked = 0
+    for _, _, zpz, weights in _protocol_weights(range(12)):
+        for scheme in ("identity", "n4sid"):
+            w = weights[scheme]
             ref = _max_eig_congruence_wide(zpz, w.w2)
             assert w.factor1 == pytest.approx(ref, rel=1e-12, abs=0.0)
             checked += 1
-    assert checked == 36
+    assert checked == 24
+
+
+def test_cva_factor1_is_one_by_construction():
+    """w2 is the symmetric root of Z_p Pi Z_p', so w2' (Z_p Pi Z_p')^-1 w2 = I:
+    factor1 is exactly 1, and the congruence reads 1 to rounding."""
+    for _, _, zpz, weights in _protocol_weights(range(12)):
+        w = weights["cva"]
+        assert w.factor1 == 1.0
+        assert _max_eig_congruence_wide(zpz, w.w2) == pytest.approx(1.0, rel=0.0, abs=1e-8)
+        assert _max_eig_congruence(zpz, w.w2) == pytest.approx(1.0, rel=0.0, abs=1e-8)
+
+
+def _zpz_perp_scipy(data):
+    q = scipy.linalg.orth(data.u_f.T)
+    zq = data.z_p @ q
+    out = data.z_p @ data.z_p.T - zq @ zq.T
+    return (out + out.T) / 2.0
+
+
+def _max_eig_congruence_scipy(zpz, w2):
+    chol = np.linalg.cholesky(zpz)
+    x = scipy.linalg.solve_triangular(chol, w2 @ w2.T, lower=True)
+    gram = scipy.linalg.solve_triangular(chol, x.T, lower=True)
+    return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
+
+
+def test_direct_lapack_weights_are_the_scipy_forms_bit_for_bit():
+    """The weights call dgesdd and dtrtrs with the arguments scipy.linalg
+    passes, so every weight equals the scipy.linalg form exactly."""
+    for data, g_f_hat, zpz, weights in _protocol_weights(range(10)):
+        assert np.array_equal(zpz, _zpz_perp_scipy(data))
+        n_rows, n_past = g_f_hat.shape[0], data.z_p.shape[0]
+        assert np.array_equal(weights["cva"].w1, scipy.linalg.solve_triangular(
+            g_f_hat, np.eye(n_rows), lower=True))
+        assert np.array_equal(weights["n4sid"].w2_pinv, scipy.linalg.solve_triangular(
+            data.z_factor, np.eye(n_past), lower=False).T)
+        for w in weights.values():
+            assert _max_eig_congruence(zpz, w.w2) == _max_eig_congruence_scipy(zpz, w.w2)
+
+
+@pytest.mark.parametrize("routine, scheme, step", [
+    ("dgesdd", "identity", "SVD of U_f'"),
+    ("dtrtrs", "cva", "cva W1 solve"),
+    ("dtrtrs", "n4sid", "n4sid W2 inverse solve"),
+    ("dtrtrs", "identity", "L^-1 w2 w2' solve"),
+])
+def test_lapack_info_raises_numerical_error_naming_the_step(monkeypatch, routine, scheme,
+                                                             step):
+    data = _random_dataset(8, f=4, p=4, n_cols=100)
+    ls = ls_estimate(data)
+    g_f_hat = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_f_hat
+    real = getattr(estimation, routine)
+    monkeypatch.setattr(estimation, routine, lambda *args, **kwargs: (
+        *real(*args, **kwargs)[:-1], 2))
+    with pytest.raises(NumericalError, match=re.escape(f"{step} (LAPACK info 2)")):
+        build_weights(scheme, data, g_f_hat=g_f_hat)
 
 
 def test_lambda_max_is_none_when_zpz_is_singular():

@@ -2,7 +2,8 @@
 of sidshrink.errors: an assert statement is stripped under `python -O`. Every
 name that the package or one of its modules exports resolves. The Gibbs chain
 calls its steps through the names the benchmark's tracer wraps, and its
-iteration calls no numpy.linalg or scipy.linalg wrapper but psd_sqrt's eigh.
+iteration calls no numpy.linalg or scipy.linalg wrapper but psd_sqrt's eigh;
+the weights, noise level and r* call no scipy.linalg function.
 Every dataclass field has a reader in the library, or a named reason to
 stay."""
 import ast
@@ -16,7 +17,17 @@ import scipy.linalg
 
 import sidshrink
 from sidshrink import bayes
-from sidshrink.estimation import assemble, ls_estimate
+from sidshrink.bench import draw_realization
+from sidshrink.estimation import (
+    SCHEMES,
+    assemble,
+    build_weights,
+    estimate_noise,
+    ls_estimate,
+    noise_level,
+    rank_star,
+    weighted_svd,
+)
 
 
 def test_library_has_no_assert_statements():
@@ -137,6 +148,19 @@ def test_chain_noise_update_reads_no_data_columns(variant, monkeypatch):
         assert all(form is forms[0] for form in forms)
 
 
+def _ban_functions(monkeypatch, module, allowed=()):
+    """Make every function of module but the allowed ones raise when called."""
+    def banned(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"called {name}")
+        return call
+
+    for name in getattr(module, "__all__", dir(module)):
+        if name not in allowed and callable(getattr(module, name, None)) \
+                and not isinstance(getattr(module, name), type):
+            monkeypatch.setattr(module, name, banned(f"{module.__name__}.{name}"))
+
+
 def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
     """Each iteration calls LAPACK directly; the one numpy.linalg call left
     is the eigh inside psd_sqrt."""
@@ -149,17 +173,23 @@ def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
     state = bayes.init_gibbs(ls.h_fp_hat, ls.h_f_hat, data, 2)
     monkeypatch.setattr(bayes, "init_gibbs", lambda *args: state)
 
-    def banned(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"the chain called {name}")
-        return call
-
     for module in (np.linalg, scipy.linalg):
-        for name in getattr(module, "__all__", dir(module)):
-            if name != "eigh" and callable(getattr(module, name, None)) \
-                    and not isinstance(getattr(module, name), type):
-                monkeypatch.setattr(module, name, banned(f"{module.__name__}.{name}"))
+        _ban_functions(monkeypatch, module, allowed=("eigh",))
     for variant in ("independent", "hankel_exact"):
         est = bayes.run_gibbs(data, ls.h_fp_hat, ls.h_f_hat,
                               bayes.GibbsConfig(rank=2, n_total=6, gf_variant=variant), rng)
         assert np.isfinite(est.h_fp_bayes).all()
+
+
+def test_weights_noise_level_and_rank_star_call_no_scipy_linalg_function(monkeypatch):
+    """build_weights calls LAPACK directly, and noise_level and rank_star
+    call no scipy.linalg function either."""
+    draw = draw_realization(0, 1, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    ls = ls_estimate(data)
+    g_f_hat = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_f_hat
+    _ban_functions(monkeypatch, scipy.linalg)
+    for scheme in SCHEMES:
+        weights = build_weights(scheme, data, g_f_hat=g_f_hat)
+        assert noise_level(weights, np.eye(data.f * data.n_o)) > 0.0
+        assert rank_star(data, ls, weights, weighted_svd(ls.h_fp_hat, weights)).r_star >= 1
