@@ -183,8 +183,11 @@ def _gamma_hf_parts(state: GibbsState):
     gram[r:, r:] = state.lambda_h + gamma_scalar * state.uu
     gram = (gram + gram.T) / 2.0
     chol = checked(dpotrf(gram, lower=1), "[Gamma_f H_f] precision not positive definite")
-    y_reg = np.hstack([state.yz @ state.l_p.T, state.yu])
-    mean = gamma_scalar * checked(dpotrs(chol, y_reg.T, lower=1), "[Gamma_f H_f] mean").T
+    y_reg = np.empty((state.yu.shape[0], gram.shape[0]))
+    y_reg[:, :r] = state.yz @ state.l_p.T
+    y_reg[:, r:] = state.yu
+    mean = gamma_scalar * checked(dpotrs(chol, y_reg.T, lower=1, overwrite_b=1),
+                                  "[Gamma_f H_f] mean").T
     return mean, chol
 
 
@@ -198,7 +201,8 @@ def step_gamma_hf(state: GibbsState, rng: np.random.Generator):
     mean, chol = _gamma_hf_parts(state)
     xi = rng.standard_normal(mean.shape)
     g_bar = state.g_f / state.g_f[0, 0]
-    root_xi = checked(dtrtrs(chol, xi.T, lower=1, trans=1), "[Gamma_f H_f] draw").T
+    root_xi = checked(dtrtrs(chol, xi.T, lower=1, trans=1, overwrite_b=1),
+                      "[Gamma_f H_f] draw").T
     draw = mean + g_bar @ root_xi
     r = state.l_p.shape[0]
     return mean[:, :r], (draw[:, :r], toeplitz_project(draw[:, r:]))
@@ -218,13 +222,13 @@ def step_lp(state: GibbsState, rng: np.random.Generator):
     r x N normals times Z_p^+.
     """
     sinv_gamma = checked(dpotrs(state.g_f, state.gamma_f, lower=1), "S^-1 Gamma_f")
+    # psd_sqrt symmetrises prec
     prec = state.gamma_f.T @ sinv_gamma + state.lambda_l
-    prec = (prec + prec.T) / 2.0
     rhs = sinv_gamma.T @ state.y_zpinv - (sinv_gamma.T @ state.h_f) @ state.u_zpinv
     root = psd_sqrt(prec, inverse=True)
     mean = root @ (root @ rhs)
     xi = rng.standard_normal(mean.shape)
-    xi_r = checked(dtrtrs(state.z_factor, xi.T), "L_p draw").T
+    xi_r = checked(dtrtrs(state.z_factor, xi.T, overwrite_b=1), "L_p draw").T
     return mean, mean + root @ xi_r
 
 
@@ -242,12 +246,8 @@ def _antidiagonal_sums(resid: np.ndarray) -> np.ndarray:
     shifted down by i-1-m rows, s[d, m] = sum over a <= m of
     E[a, d - (i-1-m) - a]."""
     i, j = resid.shape
-    # row m: anti-diagonal sums of the first m+1 rows of the residue; a
-    # running sum over rows gives np.cumsum(axis=0)'s bits without its
-    # strided pass
-    sums = _skew(resid)
-    for m in range(1, i):
-        np.add(sums[m - 1], sums[m], out=sums[m])
+    # row m: anti-diagonal sums of the first m+1 rows of the residue
+    sums = np.cumsum(_skew(resid), axis=0)
     return _skew(sums[::-1])[::-1, :i + j - 1].T
 
 
@@ -271,18 +271,23 @@ class HankelForm:
 
     Every stacked row is a window of one signal, so rows f-1..N-1 of the
     anti-diagonal sums s of E equal W G(C), with W the (N-f+1) x
-    n_sig(2f+p-1) signal windows and G(C) a scatter-sum of C's entries
-    (flat indices source into C, target into G), and each of those rows
-    has multiplicity f. With root = R_W / sqrt(f), R_W the triangular (or,
+    n_sig(2f+p-1) signal windows and G(C) the sums, over a <= m, of
+    C[a, q] into entry (base[q] + m - a, m), and each of those rows has
+    multiplicity f. With root = R_W / sqrt(f), R_W the triangular (or,
     when W has fewer rows than columns, trapezoidal) factor of a QR of W,
     root G is a factor of their part of the form. The other 2(f-1) rows
     of s read only E's first and last f-1 columns, C edge_columns, and
     are scaled by edge_scale, one over the root of their multiplicity.
+
+    Both kinds of sum are running sums down the f + 1 rows that gather
+    lays out from C and C edge_columns (flat, then a 0.0 slot): G's below
+    a row of zeros, the edge's anti-diagonal sums from row 0. pick reads
+    G and then the 2(f-1) edge rows of s from them.
     """
 
     root: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
+    gather: np.ndarray
+    pick: np.ndarray
     edge_columns: np.ndarray
     edge_scale: np.ndarray
     n_cols: int
@@ -290,38 +295,68 @@ class HankelForm:
     def omega(self, coef: np.ndarray) -> np.ndarray:
         """_omega_hankel(coef @ stacked) up to rounding."""
         i = coef.shape[0]
-        g = np.bincount(self.target, coef.take(self.source), self.root.shape[1] * i)
-        # the 3(f-1) rows of s: the first f-1 columns' edge, f-1 rows that
-        # mix both edges and belong to no row of E's sums, the last f-1
-        # columns' edge
-        s = _antidiagonal_sums(coef @ self.edge_columns)
-        factor = np.vstack([self.root @ g.reshape(-1, i),
-                            np.vstack([s[:i - 1], s[2 * i - 2:]]) * self.edge_scale])
+        n_win = self.root.shape[1]
+        values = np.empty(coef.size + i * self.edge_columns.shape[1] + 1)
+        values[:coef.size] = coef.ravel()
+        np.matmul(coef, self.edge_columns, out=values[coef.size:-1].reshape(i, -1))
+        values[-1] = 0.0
+        sums = values.take(self.gather)
+        # running sums down the rows, np.cumsum(axis=0)'s bits in f row adds
+        # where cumsum makes one strided pass per column
+        prev = sums[0]
+        for row in sums[1:]:
+            np.add(prev, row, out=row)
+            prev = row
+        terms = sums.take(self.pick)
+        factor = np.empty((self.root.shape[0] + terms.shape[0] - n_win, i))
+        np.matmul(self.root, terms[:n_win], out=factor[:self.root.shape[0]])
+        np.multiply(terms[n_win:], self.edge_scale, out=factor[self.root.shape[0]:])
         omega = factor.T @ factor
         return (omega + omega.T) / 2.0
 
 
 def hankel_form(data: HankelData) -> HankelForm:
     """The HankelForm of data's stacked rows: one QR of the signal windows
-    and the scatter indices of G(C). Column m of s sums residue rows
+    and the gather and pick indices. Column m of s sums residue rows
     a <= m shifted by m - a, so C[a, q] lands in G at signal lag
-    base[q] + m - a, and the windows need 2f + p - 1 lags. The form needs
-    N >= f and stacked rows that are Hankel windows; either failing raises
-    DataError."""
+    base[q] + m - a, and the windows need 2f + p - 1 lags.
+
+    gather row a + 1 holds C[a, q] in column base[q] - a + f - 1, so G's
+    entry at window column l and column m is the running sum down to row
+    m + 1 in column l - m + f - 1 (a stacked row's lag is at most f + p - 1,
+    so each signal keeps its own 2f + p - 1 columns). Each such sum starts
+    from 0.0 and adds C's entries in increasing a, the order of a bincount
+    over the (a, m, q) triples; the zeros between them change no bits.
+    Rows 0..f-1 of the last 3(f-1) columns hold the skewed edge residue of
+    _antidiagonal_sums. The form needs N >= f and stacked rows that are
+    Hankel windows; either failing raises DataError."""
     i, j = data.f, data.n_cols
     if j < i:
         raise DataError(f"the hankel_exact noise update needs N >= f columns, have N = {j} "
                         f"< f = {i}")
-    windows, base = data.signal_windows(2 * i + data.p - 1)
+    n_lags = 2 * i + data.p - 1
+    windows, base = data.signal_windows(n_lags)
     qr = checked(dgeqrf(windows, overwrite_a=1), "QR of the signal windows")
-    a, m = np.triu_indices(i)
-    n_rows = base.size
+    n_rows, n_edge, n_win = base.size, 2 * (i - 1), windows.shape[1]
+    width = n_win + n_edge + i - 1
+    a = np.arange(i)[:, None]
+    gather = np.full((i + 1, width), i * (n_rows + n_edge))    # the 0.0 slot
+    gather[a + 1, base - a + i - 1] = a * n_rows + np.arange(n_rows)
+    gather[a, n_win + a + np.arange(n_edge)] = i * n_rows + a * n_edge + np.arange(n_edge)
+    # G[l, m], 0.0 (entry 0 of the sums) past a signal's columns, then the
+    # edge rows d of s, s[d, m] = sums[m, d - (f-1-m)], 0.0 outside the skew
+    m = np.arange(i)
+    l = np.arange(n_win)[:, None]
+    d = np.r_[np.arange(i - 1), np.arange(2 * i - 2, 3 * i - 3)][:, None]
+    c = d - (i - 1 - m)
+    pick = np.vstack([np.where(l % n_lags - m + i - 1 < n_lags, (m + 1) * width + l - m + i - 1, 0),
+                      np.where((c >= 0) & (c < n_edge + i - 1), m * width + n_win + c, 0)])
     edge = np.r_[np.arange(i - 1), np.arange(j - i + 1, j)]
     weight = np.r_[np.arange(1, i), np.arange(i - 1, 0, -1)]
     return HankelForm(
         root=np.triu(qr[:min(qr.shape)]) / np.sqrt(i),
-        source=(a[:, None] * n_rows + np.arange(n_rows)).ravel(),
-        target=((base + (m - a)[:, None]) * i + m[:, None]).ravel(),
+        gather=gather,
+        pick=pick,
         edge_columns=data.stacked[:, edge],
         edge_scale=1.0 / np.sqrt(weight)[:, None],
         n_cols=j,
@@ -362,7 +397,7 @@ def _omega_independent(resid: np.ndarray) -> np.ndarray:
     summed down them; the padding below a column's last term is summed too
     but never read."""
     gather, scatter = _subdiagonal_index(resid.shape[0])
-    partial = np.cumsum((resid @ resid.T).take(gather), axis=0)
+    partial = (resid @ resid.T).take(gather).cumsum(axis=0)
     return partial.take(scatter)
 
 
@@ -425,7 +460,9 @@ def step_gf(state: GibbsState, resid: np.ndarray, rng: np.random.Generator,
         omega, chi_dof = _omega_independent(resid), i * j - i + 2
     else:
         raise ConfigError(f"unknown gf variant {variant!r}")
-    nu = np.append(rng.standard_normal(i - 1), np.sqrt(rng.chisquare(chi_dof)))
+    nu = np.empty(i)
+    nu[:-1] = rng.standard_normal(i - 1)
+    nu[-1] = np.sqrt(rng.chisquare(chi_dof))
     state.g_f = _gf_from_nu(omega, nu)[0]
     return state.g_f
 
@@ -437,7 +474,10 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
 
     With rao_blackwell=True each kept iteration contributes
     (E[Gamma^(n)] L^(n-1) + Gamma^(n) E[L^(n)]) / 2, using the conditional
-    means computed alongside the draws. Divergence (non-finite draw) raises
+    means computed alongside the draws; the sum is kept doubled and halved
+    in the final division, which gives the same bits as halving each term
+    (a power of two scales every partial sum exactly, barring overflow and
+    subnormals). Divergence (non-finite draw) raises
     NumericalError with the iteration index.
 
     No iteration reads the N data columns: the noise update gets the
@@ -445,10 +485,11 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     through the chain's one hankel_form(data) under "hankel_exact".
     """
     state = init_gibbs(h_fp_hat, h_f_hat, data, config.rank)
+    scale = 2.0 if config.rao_blackwell else 1.0
     accum = np.zeros_like(h_fp_hat, dtype=float)
     if config.n_burn == 0:
         # burn-in of zero keeps the deterministic first iterate as well
-        accum += state.gamma_f @ state.l_p
+        accum += scale * (state.gamma_f @ state.l_p)
     diagnostics = [frobenius(state.gamma_f @ state.l_p)]
     # [I, -Gamma L_p, -H_f] @ stacked = Y_f - Gamma L_p Z_p - H_f U_f; the
     # identity block is filled once, the others each iteration. Under
@@ -486,8 +527,8 @@ def run_gibbs(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
         diagnostics.append(frobenius(product))
         if n > config.n_burn:
             if config.rao_blackwell:
-                accum += (gamma_mean @ l_prev + gamma_draw @ l_mean) / 2.0
+                accum += gamma_mean @ l_prev + gamma_draw @ l_mean
             else:
                 accum += product
-    estimate = accum / (config.n_total - config.n_burn)
+    estimate = accum / (scale * (config.n_total - config.n_burn))
     return GibbsEstimate(h_fp_bayes=estimate, chain_diagnostics=np.asarray(diagnostics))

@@ -80,12 +80,22 @@ def _read_lines(path):
 def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
     """The (line_no, text) rows as a len(rows) x n_cols float array.
 
-    Every value goes through float() in one pass that writes straight
-    into the array. Only when a row has the wrong number of values or a
-    value does not convert are the rows scanned one by one, to name the
-    first bad line.
+    np.loadtxt parses every row in one C pass. Its values go through
+    PyOS_string_to_double, the parser behind float(), so they have
+    float()'s bits; it rejects a few strings that float() accepts (digit
+    underscores as in 1_0, non-ASCII digits, a carriage return inside a
+    row). On any failure every value goes through float() in one pass
+    that writes straight into the array. Only when a row has the wrong
+    number of values or a value does not convert are the rows scanned one
+    by one, to name the first bad line.
     """
     texts = [line for _, line in rows]
+    try:
+        table = np.loadtxt(texts, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None    # float() may still accept every value
+    if table is not None and table.shape == (len(texts), n_cols):
+        return table
     if all(line.count(",") == n_cols - 1 for line in texts):
         values = ",".join(texts).split(",")
         try:

@@ -260,9 +260,16 @@ def ls_estimate(data: HankelData) -> LsEstimate:
 
     The stacked regressor must have full row rank within tolerance;
     otherwise NumericalError reports the condition number. Singular values
-    below RCOND * s_max are treated as zero in the solve.
+    below RCOND * s_max are treated as zero in the solve. A failed solve
+    raises DataError when the stacked data hold a non-finite value (found
+    only then, so finite data pay no check) and NumericalError otherwise.
     """
-    coeff, _, _, svals = np.linalg.lstsq(data.regressor.T, data.y_f.T, rcond=RCOND)
+    try:
+        coeff, _, _, svals = np.linalg.lstsq(data.regressor.T, data.y_f.T, rcond=RCOND)
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(data.stacked).all():
+            raise DataError("least squares: non-finite value in the stacked data") from exc
+        raise NumericalError(f"least squares failed: {exc}") from exc
     if svals[-1] <= RCOND * svals[0]:
         cond = np.inf if svals[-1] == 0 else svals[0] / svals[-1]
         raise NumericalError(

@@ -32,6 +32,7 @@ __all__ = [
 
 _PD_REL = 1e-12     # psd_sqrt inverts only above this share of the top eigenvalue
 _RANK_REL = 1e-10   # pseudo_det keeps singular values above this share of s_max
+_TINY = np.finfo(float).tiny
 
 
 def checked(result: tuple, what: str) -> np.ndarray:
@@ -115,7 +116,7 @@ def build_selectors(i: int, n: int) -> SelectorPair:
     if i < 1 or n < 1:
         raise ValueError("selector sizes must be positive")
     b_t = np.zeros((i * i, i))
-    k, l, _ = _tril_index(i)
+    k, l = np.tril_indices(i)
     # entry (k, l) of G holds last_row element i-1-k+l
     b_t[k + l * i, i - 1 - k + l] = 1.0
 
@@ -144,7 +145,7 @@ def psd_sqrt(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     a = (a + a.T) / 2.0
     w, v = np.linalg.eigh(a)
     if inverse:
-        floor = _PD_REL * max(abs(w[-1]), np.finfo(float).tiny)
+        floor = _PD_REL * max(abs(w[-1]), _TINY)
         if w[0] <= floor:
             raise NumericalError(
                 f"matrix not positive definite: min eigenvalue {w[0]:.3e}"
@@ -169,14 +170,26 @@ def pseudo_det(m: np.ndarray) -> float:
     return float(np.prod(keep))
 
 
+_PAIRWISE_BLOCK = 128   # numpy's pairwise sum splits a longer reduction in two
+
+
 @functools.lru_cache(maxsize=None)
-def _tril_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and k - l of the lower triangle of an n x n matrix."""
-    rows, cols = np.tril_indices(n)
-    index = (rows, cols, rows - cols)
-    for a in index:
-        a.setflags(write=False)     # shared by every call with this n
-    return index
+def _diagonal_terms(n: int) -> tuple[int, np.ndarray]:
+    """Flat indices into an n x n matrix followed by one -0.0 slot (index
+    n*n). Row d of the n x (width + 8) gather lays out the d-th
+    subdiagonal, of length L = n - d: its leading L - L % 8 terms in
+    columns 0..width-1 and its L % 8 trailing terms from column width + 1
+    on. Every other entry reads the -0.0 slot; column width is where the
+    leading terms' sum goes."""
+    width = 8 * -(-n // 8)
+    index = np.full((n, width + 8), n * n)
+    for d in range(n):
+        terms = np.arange(d * n, n * n, n + 1)    # (d + k, k) for k < n - d
+        lead = terms.size - terms.size % 8
+        index[d, :lead] = terms[:lead]
+        index[d, width + 1:width + 1 + terms.size - lead] = terms[lead:]
+    index.setflags(write=False)     # shared by every call with this n
+    return width, index
 
 
 def toeplitz_project(m: np.ndarray) -> np.ndarray:
@@ -186,22 +199,51 @@ def toeplitz_project(m: np.ndarray) -> np.ndarray:
     The k-th subdiagonal of the result is the arithmetic mean of the k-th
     subdiagonal of m; everything above the diagonal is zeroed. For matrices
     that already have the structure this is the identity.
+
+    Each subdiagonal sum has the bits of np.add.reduce(m.diagonal(-k)), a
+    reordered sum (one bincount over k - l) having flipped the
+    effective-rank order of 5 of 300 cva benchmark runs. For L <= 128
+    terms that reduce is numpy's pairwise sum without recursion: 8
+    accumulators over the leading L - L % 8 terms, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the other
+    terms added in sequence, all onto an initial 0.0. So for n <= 128 one
+    reduce over the rows of a gather of every subdiagonal's leading terms,
+    padded with -0.0 (x + -0.0 == x for every x, signed zeros and NaN
+    payloads included), and a running sum over its trailing terms give
+    the same bits. A longer row would make numpy split it in two, so
+    larger n reduce each subdiagonal on its own.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("toeplitz_project expects a square matrix")
     n = a.shape[0]
-    # pairwise sums as in np.mean: a reordered sum (one bincount over k - l)
-    # flipped the effective-rank order of 5 of 300 cva benchmark runs
-    sums = np.array([np.add.reduce(a.diagonal(-d)) for d in range(n)])
+    if n > _PAIRWISE_BLOCK:
+        sums = np.array([np.add.reduce(a.diagonal(-d)) for d in range(n)])
+    else:
+        width, index = _diagonal_terms(n)
+        flat = np.empty(n * n + 1)
+        flat[:-1].reshape(n, n)[...] = a
+        flat[-1] = -0.0
+        terms = flat.take(index)
+        np.add.reduce(terms[:, :width], axis=1, out=terms[:, width])
+        sums = terms[:, width:].cumsum(axis=1)[:, -1]
     return toeplitz_from_col(sums / np.arange(n, 0, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Index into a first column of length n followed by a zero: entry
+    (k, l) reads k - l on and below the diagonal, the zero above it."""
+    k, l = np.indices((n, n))
+    index = np.where(k >= l, k - l, n)
+    index.setflags(write=False)     # shared by every call with this n
+    return index
 
 
 def toeplitz_from_col(col: np.ndarray) -> np.ndarray:
     """Lower-triangular Toeplitz matrix with the given first column."""
     c = np.asarray(col, dtype=float)
     n = c.shape[0]
-    rows, cols, sub = _tril_index(n)
-    out = np.zeros((n, n))
-    out[rows, cols] = c[sub]
-    return out
+    padded = np.zeros(n + 1)
+    padded[:n] = c
+    return padded.take(_toeplitz_index(n))

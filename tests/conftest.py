@@ -1,5 +1,14 @@
 import re
 
+import hypothesis
+
+# one profile for every property test: the same examples on every run, no
+# per-example deadline on a shared machine, a bounded example count and no
+# example database, so that the suite stays deterministic
+hypothesis.settings.register_profile(
+    "sidshrink", derandomize=True, deadline=None, max_examples=60, database=None)
+hypothesis.settings.load_profile("sidshrink")
+
 # criterion number -> short label for the summary block
 _CRITERIA = {
     "1": "identity-weight risk table",

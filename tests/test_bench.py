@@ -15,7 +15,7 @@ from sidshrink.bench import (
     run_benchmark,
     single_run,
 )
-from sidshrink.errors import ConfigError
+from sidshrink.errors import ConfigError, DataError
 from sidshrink.estimation import HankelData, assemble, build_weights
 from sidshrink.systems import sample_system
 
@@ -197,3 +197,12 @@ def test_short_horizon_is_config_error_without_redraw(monkeypatch):
 def test_method_names_cover_the_reference():
     assert "heuristic_neff" in METHOD_NAMES
     assert len(METHOD_NAMES) == 7
+
+
+def test_identify_on_non_finite_data_is_a_data_error():
+    rng = np.random.default_rng(0)
+    u, y = rng.standard_normal(60), rng.standard_normal(60)
+    y[20] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        bench.identify(assemble(u, y, 3, 3), "identity", ("hard",), GibbsConfig(rank=1),
+                       np.random.default_rng(0))

@@ -1,5 +1,8 @@
 import json
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -264,6 +267,29 @@ def test_parse_rows_equals_the_array_conversion(tmp_path):
         values = ",".join(line for _, line in body[1:]).split(",")
         ref = np.array(values, dtype=float).reshape(-1, n_cols)
         assert _same_bits(_parse_rows(path, body[1:], n_cols), ref)
+
+
+def test_parse_rows_takes_what_only_float_accepts(tmp_path):
+    # the C parser rejects digit underscores; float() takes them
+    path = tmp_path / "underscore.csv"
+    path.write_text("u_1,y_1\n1.5,2_5\n-0.0,1e-320\n")
+    u, y, _ = read_timeseries(path)
+    assert _same_bits(u, np.array([[1.5], [-0.0]])) and _same_bits(y, np.array([[25.0], [1e-320]]))
+
+
+def _finite_columns(n_rows):
+    return st.integers(1, 3).flatmap(lambda k: hnp.arrays(
+        np.float64, (n_rows, k), elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@hypothesis.given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(_finite_columns(n), _finite_columns(n))))
+def test_timeseries_roundtrip_property(tmp_path_factory, uy):
+    u, y = uy
+    path = tmp_path_factory.mktemp("roundtrip") / "record.csv"
+    write_timeseries(path, u, y, config={"f": 2})
+    u_back, y_back, meta = read_timeseries(path)
+    assert _same_bits(u_back, u) and _same_bits(y_back, y) and meta == {"f": 2}
 
 
 @pytest.mark.parametrize("body, line", [

@@ -163,6 +163,27 @@ def test_ls_residues_are_formed_on_read():
 
 # -------------------------------------------------------------- ls_estimate
 
+def _record_with_nan(seed=0, t=60):
+    rng = np.random.default_rng(seed)
+    u, y = rng.standard_normal(t), rng.standard_normal(t)
+    y[t // 3] = np.nan
+    return assemble(u, y, 3, 3)
+
+
+def test_ls_on_non_finite_data_is_a_data_error():
+    with pytest.raises(DataError, match="non-finite"):
+        ls_estimate(_record_with_nan())
+
+
+def test_ls_failure_on_finite_data_is_a_numerical_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericalError, match="did not converge"):
+        ls_estimate(assemble(rng.standard_normal(60), rng.standard_normal(60), 3, 3))
+
+
 def test_ls_recovers_exact_linear_map():
     rng = np.random.default_rng(9)
     f, p, j = 4, 3, 80

@@ -1,3 +1,6 @@
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -145,6 +148,49 @@ def test_toeplitz_project_is_the_per_diagonal_mean():
         m = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
         expect = toeplitz_from_col([np.diagonal(m, -d).mean() for d in range(n)])
         assert np.array_equal(toeplitz_project(m), expect)
+
+
+def _per_diagonal_reduce(m):
+    n = m.shape[0]
+    sums = np.array([np.add.reduce(m.diagonal(-d)) for d in range(n)])
+    return toeplitz_from_col(sums / np.arange(n, 0, -1))
+
+
+def test_toeplitz_project_is_the_per_diagonal_reduce_in_every_bit():
+    # n <= 128 takes one reduce over all subdiagonals, n > 128 one reduce
+    # per subdiagonal; NaN payloads, infinities and signed zeros included
+    rng = np.random.default_rng(8)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+    for n in range(1, 161):
+        for trial in range(3):
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, n))
+            if trial:
+                hit = rng.random((n, n)) < (0.02 if trial == 1 else 0.5)
+                m[hit] = rng.choice(specials, hit.sum())
+            wide = np.empty((n, 2 * n))
+            wide[:, ::2] = m
+            for a in (m, np.asfortranarray(m), wide[:, ::2]):
+                with np.errstate(invalid="ignore"):
+                    got, expect = toeplitz_project(a), _per_diagonal_reduce(a)
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), n
+
+
+_SQUARE = st.integers(1, 40).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, n), elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)))
+
+
+@hypothesis.given(m=_SQUARE)
+def test_toeplitz_project_is_an_orthogonal_projection(m):
+    n = m.shape[0]
+    p1 = toeplitz_project(m)
+    scale = max(np.abs(m).max(), 1.0)
+    # idempotent up to the rounding of a mean of equal values
+    assert np.allclose(toeplitz_project(p1), p1, rtol=1e-13, atol=1e-13 * scale)
+    # the residue is orthogonal to every basis direction: each subdiagonal
+    # of m - P m sums to zero
+    resid = m - p1
+    for d in range(n):
+        assert abs(resid.diagonal(-d).sum()) <= 1e-12 * scale * n
 
 
 def test_toeplitz_project_is_orthogonal():
