@@ -54,31 +54,54 @@ def _sanitize(obj):
     return obj
 
 
+def _hash_lines(text: str):
+    """(offset, line) of every line of text that starts with '#'. Such
+    lines are few, and a one-character find is a memchr, so no Python step
+    runs per other line (a find of "\\n#" stops at every line break)."""
+    at = text.find("#")
+    while at >= 0:
+        end = text.find("\n", at)
+        if at == 0 or text[at - 1] == "\n":
+            yield at, text[at:end if end >= 0 else None]
+        at = text.find("#", at + 1) if end >= 0 else -1
+
+
 def _read_lines(path):
-    """Strip '#' prefix lines; return (meta dict, [(line_no, text), ...])."""
-    meta = {}
-    body = []
+    """Return (meta dict, body, line_no).
+
+    body is one filtered list of the lines that are neither blank nor '#'
+    lines; '#' lines may stand anywhere, and a '# config:' one sets meta.
+    line_no(k) is the file line number of body[k], found by a scan of the
+    file's lines that only an error message pays for.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().split("\n"), start=1):
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if text.startswith("config:"):
-                    payload = text[len("config:"):].strip()
-                    try:
-                        meta = json.loads(payload)
-                    except json.JSONDecodeError as exc:
-                        raise DataError(
-                            f"{path}:{line_no}: bad config header: {exc}") from exc
-                    if not isinstance(meta, dict):
-                        raise DataError(f"{path}:{line_no}: config header must be a JSON object")
-                continue
-            if line.strip():
-                body.append((line_no, line))
-    return meta, body
+        text = fh.read()
+    meta = {}
+    for at, line in _hash_lines(text):
+        payload = line[1:].strip()
+        if not payload.startswith("config:"):
+            continue
+        number = text.count("\n", 0, at) + 1
+        where = f"{path}:{number}"
+        try:
+            meta = json.loads(payload[len("config:"):].strip())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: bad config header: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"{where}: config header must be a JSON object")
+    lines = text.split("\n")
+    body = [line for line in lines if line.strip() and line[0] != "#"]
+
+    def line_no(k: int) -> int:
+        return [n for n, line in enumerate(lines, start=1)
+                if line.strip() and line[0] != "#"][k]
+
+    return meta, body, line_no
 
 
-def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
-    """The (line_no, text) rows as a len(rows) x n_cols float array.
+def _parse_rows(path, body: list[str], rows: slice, n_cols: int, line_no) -> np.ndarray:
+    """body[rows] as a float array of n_cols columns; line_no(k) is the
+    file line number of body[k], asked for only to name a bad line.
 
     np.loadtxt parses every row in one C pass. Its values go through
     PyOS_string_to_double, the parser behind float(), so they have
@@ -89,7 +112,7 @@ def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
     number of values or a value does not convert are the rows scanned one
     by one, to name the first bad line.
     """
-    texts = [line for _, line in rows]
+    texts = body[rows]
     try:
         table = np.loadtxt(texts, dtype=float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -102,14 +125,14 @@ def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
             return np.fromiter(map(float, values), float, len(values)).reshape(-1, n_cols)
         except ValueError:
             pass    # the scan below names the line
-    for line_no, line in rows:
+    for k, line in enumerate(texts, start=rows.start or 0):
         parts = line.split(",")
         if len(parts) != n_cols:
-            raise DataError(f"{path}:{line_no}: expected {n_cols} values, got {len(parts)}")
+            raise DataError(f"{path}:{line_no(k)}: expected {n_cols} values, got {len(parts)}")
         try:
             [float(v) for v in parts]
         except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
+            raise DataError(f"{path}:{line_no(k)}: {exc}") from exc
     raise DataError(f"{path}: values do not convert to floats")
 
 
@@ -134,21 +157,21 @@ def write_timeseries(path, u: np.ndarray, y: np.ndarray, config: dict | None = N
 
 def read_timeseries(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Returns (u, y, metadata). Column header u_1..u_k,y_1..y_m required."""
-    meta, body = _read_lines(path)
+    meta, body, line_no = _read_lines(path)
     if not body:
         raise DataError(f"{path}: empty data file")
-    header_no, header = body[0]
+    header = body[0]
     names = [c.strip() for c in header.split(",")]
     n_u = sum(1 for c in names if c.startswith("u_"))
     n_y = sum(1 for c in names if c.startswith("y_"))
     expected = [f"u_{k + 1}" for k in range(n_u)] + [f"y_{k + 1}" for k in range(n_y)]
     if n_u == 0 or n_y == 0 or names != expected:
         raise DataError(
-            f"{path}:{header_no}: expected column header u_1..u_{max(n_u, 1)},"
+            f"{path}:{line_no(0)}: expected column header u_1..u_{max(n_u, 1)},"
             f"y_1..y_{max(n_y, 1)}, got {header!r}")
     if len(body) == 1:
         raise DataError(f"{path}: no data rows")
-    table = _parse_rows(path, body[1:], n_u + n_y)
+    table = _parse_rows(path, body, slice(1, None), n_u + n_y, line_no)
     return table[:, :n_u], table[:, n_u:], meta
 
 
@@ -167,24 +190,24 @@ def write_matrices(path, matrices: dict, config: dict | None = None) -> None:
 
 
 def read_matrices(path) -> tuple[dict, dict]:
-    meta, body = _read_lines(path)
+    meta, body, line_no = _read_lines(path)
     matrices = {}
     idx = 0
     while idx < len(body):
-        line_no, line = body[idx]
-        parts = line.split(",")
+        parts = body[idx].split(",")
         if len(parts) != 4 or parts[0] != "matrix":
-            raise DataError(f"{path}:{line_no}: expected 'matrix,<name>,<rows>,<cols>'")
+            raise DataError(f"{path}:{line_no(idx)}: expected 'matrix,<name>,<rows>,<cols>'")
         name = parts[1]
         try:
             rows, cols = int(parts[2]), int(parts[3])
         except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: bad shape: {exc}") from exc
+            raise DataError(f"{path}:{line_no(idx)}: bad shape: {exc}") from exc
         if rows < 1 or cols < 1:
-            raise DataError(f"{path}:{line_no}: bad shape {rows}x{cols}")
+            raise DataError(f"{path}:{line_no(idx)}: bad shape {rows}x{cols}")
         if idx + rows >= len(body):
-            raise DataError(f"{path}:{line_no}: section {name!r} truncated")
-        matrices[name] = _parse_rows(path, body[idx + 1: idx + 1 + rows], cols)
+            raise DataError(f"{path}:{line_no(idx)}: section {name!r} truncated")
+        matrices[name] = _parse_rows(path, body, slice(idx + 1, idx + 1 + rows), cols,
+                                     line_no)
         idx += 1 + rows
     return matrices, meta
 

@@ -22,7 +22,7 @@ import numpy as np
 # the weights call LAPACK directly, with the arguments scipy.linalg passes,
 # so their bits are scipy's without the wrappers' checks and dispatch, a
 # large share of these small factorisations
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dtrtrs
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dtrtrs
 
 from .errors import DataError, NumericalError
 from .linalg import checked, hankel_windows, toeplitz_project
@@ -194,8 +194,10 @@ class WeightPair:
     factor1 caches lambda_max(w2' (Z_p Pi Z_p')^-1 w2), Pi the orthogonal
     projector onto the complement of the future-input row space, for the
     noise-level computation: exactly 1.0 under cva, whose w2 is the
-    symmetric root of Z_p Pi Z_p', and computed by a congruence under
-    identity and n4sid, where it is None when Z_p Pi Z_p' is singular.
+    symmetric root of Z_p Pi Z_p'; 1 / (1 - cos^2 theta_1) under n4sid,
+    theta_1 the smallest principal angle between the row spaces of U_f and
+    Z_p; and a congruence with Z_p Pi Z_p' under identity. It is None
+    when Z_p Pi Z_p' is singular.
     """
 
     w1: np.ndarray
@@ -263,6 +265,9 @@ def ls_estimate(data: HankelData) -> LsEstimate:
     below RCOND * s_max are treated as zero in the solve. A failed solve
     raises DataError when the stacked data hold a non-finite value (found
     only then, so finite data pay no check) and NumericalError otherwise.
+    A non-finite value in Y_f alone does not fail the solve: it shows in
+    the f x (2p + f) coefficients, which are checked instead of the N
+    data columns, and raises DataError too.
     """
     try:
         coeff, _, _, svals = np.linalg.lstsq(data.regressor.T, data.y_f.T, rcond=RCOND)
@@ -275,6 +280,9 @@ def ls_estimate(data: HankelData) -> LsEstimate:
         raise NumericalError(
             f"stacked regressor rank deficient (condition number {cond:.3e})"
         )
+    if not np.isfinite(coeff).all():
+        raise DataError("least squares: non-finite coefficients from a non-finite "
+                        "or overflowing value in the data")
     coeff = coeff.T
     n_past = data.z_p.shape[0]
     h_fp_hat = coeff[:, :n_past]
@@ -328,7 +336,8 @@ def _zpz_perp(data: HankelData) -> np.ndarray:
     the U_f row space, computed from an orthonormal basis of U_f' (no N x N
     projector is ever formed). The basis is scipy.linalg.orth(U_f') bit for
     bit: the left vectors of dgesdd's thin SVD whose values exceed
-    max(M, N) eps s_1."""
+    max(M, N) eps s_1. Only cva (its w2) and identity (the congruence) read
+    it; n4sid needs no N x f basis."""
     a = data.u_f.T
     lwork = checked(dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0),
                     "SVD workspace of U_f'")
@@ -354,35 +363,74 @@ def _max_eig_congruence(zpz: np.ndarray, w2: np.ndarray) -> float | None:
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
+def _n4sid_factor1(data: HankelData, r: np.ndarray) -> float | None:
+    """lambda_max(w2' (Z_p Pi Z_p')^-1 w2) for the n4sid w2 = R', R'R =
+    Z_p Z_p', from the f x (2p + f) product U_f [Z_p; U_f]', the only
+    N-column work.
+
+    With Z_p' = Q R and U_f' = Q_u L_u' (L_u L_u' = U_f U_f'), Z_p Pi Z_p'
+    = R' (I - K'K) R for K = Q_u' Q = L_u^-1 (U_f Z_p') R^-1, whose
+    singular values are the cosines of the principal angles between the
+    row spaces of U_f and Z_p (Bjorck & Golub 1973). So the factor is
+    1 / (1 - s_1^2), s_1^2 the top eigenvalue of K's smaller Gram, and
+    None when 1 - s_1^2 <= RCOND: a Z_p direction lies in the U_f row
+    space to working accuracy. U_f U_f' has U_f's singular values squared,
+    so a Cholesky pivot at or below RCOND times the largest means U_f has
+    no full row rank and raises NumericalError.
+    """
+    n_past = r.shape[0]
+    cross = data.u_f @ data.regressor.T         # [U_f Z_p', U_f U_f']
+    l_u = checked(dpotrf(cross[:, n_past:], lower=1), "n4sid Cholesky of U_f U_f'")
+    pivots = np.diag(l_u) ** 2
+    if pivots.min() <= RCOND * pivots.max():
+        raise NumericalError("n4sid scheme: U_f is rank deficient")
+    x = checked(dtrtrs(l_u, cross[:, :n_past], lower=1), "n4sid L_u^-1 U_f Z_p' solve")
+    # K' from R' K' = X', R' the lower factor w2
+    k_t = checked(dtrtrs(r.T, x.T, lower=1), "n4sid R'^-1 X' solve")
+    gram = k_t.T @ k_t if k_t.shape[1] <= k_t.shape[0] else k_t @ k_t.T
+    sine_sq = 1.0 - float(np.linalg.eigvalsh(gram)[-1])
+    return 1.0 / sine_sq if sine_sq > RCOND else None
+
+
 def build_weights(scheme: str, data: HankelData,
                   g_f_hat: np.ndarray | None = None) -> WeightPair:
     """Weight pair for one scheme.
 
-    identity: w1 = I, w2 = I.
+    identity: w1 = I, w2 = I; factor1 from the congruence with
+              Z_p Pi Z_p'.
     cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2), the symmetric root
               from one eigh, so factor1 is 1.0 with no further factorisation.
     n4sid:    w1 = I, w2 = R' with R = data.z_factor, the triangular factor
               of a thin QR of Z_p', so that R'R = Z_p Z_p' and ||h R'|| =
-              ||h Z_p|| for every h; w2_pinv is its triangular inverse. A
-              (near) rank-deficient Z_p raises NumericalError.
+              ||h Z_p|| for every h; w2_pinv is its triangular inverse, and
+              factor1 = 1 / (1 - cos^2 theta_1) from the principal angles
+              between U_f and Z_p (_n4sid_factor1), with no SVD of U_f'. A
+              (near) rank-deficient Z_p or U_f raises NumericalError.
 
-    The SVD and triangular solves call LAPACK directly and skip scipy's
-    finiteness check, so the data must be finite; a nonzero LAPACK info
-    raises NumericalError naming the step. The triangular factors g_f_hat
-    and R are C-ordered, so each is solved as the transposed system.
+    The SVD, Cholesky and triangular solves call LAPACK directly and skip
+    scipy's finiteness check, so the data must be finite; a nonzero LAPACK
+    info raises NumericalError naming the step. The triangular factors
+    g_f_hat and R are C-ordered, so each is solved as the transposed
+    system.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     n_rows = data.f * data.n_o
     n_past = data.z_p.shape[0]
-    zpz = _zpz_perp(data)
     eye_rows = np.eye(n_rows)
+    if scheme == "n4sid":
+        r = data.full_rank_z_factor("n4sid scheme")
+        w2_pinv = checked(dtrtrs(r.T, np.eye(n_past), lower=1, trans=1),
+                          "n4sid W2 inverse solve").T
+        return WeightPair(w1=eye_rows, w2=r.T, w1_inv=eye_rows, w2_pinv=w2_pinv,
+                          n_cols=data.n_cols, factor1=_n4sid_factor1(data, r))
+    zpz = _zpz_perp(data)
     if scheme == "identity":
         w1 = eye_rows
         w1_inv = eye_rows
         w2 = np.eye(n_past)
         w2_pinv = np.eye(n_past)
-    elif scheme == "cva":
+    else:  # cva
         if g_f_hat is None:
             raise ValueError("cva weights need g_f_hat")
         if np.min(np.abs(np.diag(g_f_hat))) <= RCOND * np.max(np.abs(np.diag(g_f_hat))):
@@ -394,16 +442,8 @@ def build_weights(scheme: str, data: HankelData,
             raise NumericalError("cva scheme: Z_p Pi Z_p' is singular")
         w2 = (evecs * np.sqrt(evals)) @ evecs.T
         w2_pinv = (evecs / np.sqrt(evals)) @ evecs.T
-    else:  # n4sid
-        w1 = eye_rows
-        w1_inv = eye_rows
-        r = data.full_rank_z_factor("n4sid scheme")
-        w2 = r.T
-        w2_pinv = checked(dtrtrs(r.T, np.eye(n_past), lower=1, trans=1),
-                          "n4sid W2 inverse solve").T
     return WeightPair(
-        w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv,
-        n_cols=data.n_cols if scheme == "n4sid" else n_past,
+        w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv, n_cols=n_past,
         # under cva zpz = V L V' and w2 = V L^(1/2) V', so w2' zpz^-1 w2 = I
         # exactly; the congruence would return 1 only to within ~1e-9
         factor1=1.0 if scheme == "cva" else _max_eig_congruence(zpz, w2),

@@ -206,3 +206,14 @@ def test_identify_on_non_finite_data_is_a_data_error():
     with pytest.raises(DataError, match="non-finite"):
         bench.identify(assemble(u, y, 3, 3), "identity", ("hard",), GibbsConfig(rank=1),
                        np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scheme", ("identity", "cva", "n4sid"))
+def test_identify_with_a_non_finite_last_output_is_a_data_error(scheme):
+    # y[-1] sits in Y_f only, so the least-squares solve itself succeeds
+    rng = np.random.default_rng(0)
+    u, y = rng.standard_normal(60), rng.standard_normal(60)
+    y[-1] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        bench.identify(assemble(u, y, 3, 3), scheme, ("hard",), GibbsConfig(rank=1),
+                       np.random.default_rng(0))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import hypothesis
 import hypothesis.extra.numpy as hnp
@@ -258,15 +259,39 @@ def test_reader_equals_the_per_line_parser(tmp_path):
     assert u.shape == (6, 2) and np.signbit(u[1, 0]) and np.isnan(y[2, 0])
 
 
+@pytest.mark.parametrize("text", [
+    HAND_WRITTEN,
+    "#",
+    "u_1,y_1\n1,2\n# config: {\"f\": 3}",                # a config header last
+    "# config: {\"f\": 1}\n#config:{\"f\": 2}\nu_1,y_1\n1,2\n",   # the last one wins
+    "matrix,a#config: 1,1,1\n# note #2\n1.0#\n\n  #x\n",    # '#' not first on its line
+    "\n\n u_1,y_1 \r\n\r\n1,2",
+])
+def test_read_lines_equals_the_per_line_reader(tmp_path, text):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode("utf-8"))
+    meta, body, line_no = _read_lines(path)
+    meta_ref, body_ref = _read_lines_per_line(path)
+    assert meta == meta_ref
+    assert [(line_no(k), line) for k, line in enumerate(body)] == body_ref
+
+
+def test_bad_config_header_after_the_data_names_its_line(tmp_path):
+    path = tmp_path / "late.csv"
+    path.write_text("# sidshrink 0\nu_1,y_1\n1.0,2.0\n\n# config: {oops\n3.0,4.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: bad config header"):
+        read_timeseries(path)
+
+
 def test_parse_rows_equals_the_array_conversion(tmp_path):
     # the float() pass gives the bits of np.array(strings, dtype=float)
     hand = tmp_path / "hand.csv"
     hand.write_bytes(HAND_WRITTEN.encode("utf-8"))
     for path, n_cols in ((_record(tmp_path), 2), (hand, 3)):
-        _, body = _read_lines(path)
-        values = ",".join(line for _, line in body[1:]).split(",")
+        _, body, line_no = _read_lines(path)
+        values = ",".join(body[1:]).split(",")
         ref = np.array(values, dtype=float).reshape(-1, n_cols)
-        assert _same_bits(_parse_rows(path, body[1:], n_cols), ref)
+        assert _same_bits(_parse_rows(path, body, slice(1, None), n_cols, line_no), ref)
 
 
 def test_parse_rows_takes_what_only_float_accepts(tmp_path):

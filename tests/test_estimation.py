@@ -1,5 +1,8 @@
 import re
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -104,6 +107,31 @@ def test_assemble_blocks_are_row_views_of_one_buffer(n_i, n_o, one_dim):
     assert np.array_equal(data.regressor, buf[f * n_o:])
 
 
+@st.composite
+def _records(draw):
+    """(u, y, f, p): a record of T >= f + p samples, n_i inputs and n_o
+    outputs, with any float values, nan and inf included."""
+    f, p = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    t = f + p + draw(st.integers(0, 20))
+    u = draw(hnp.arrays(np.float64, (t, draw(st.integers(1, 3))), elements=st.floats()))
+    y = draw(hnp.arrays(np.float64, (t, draw(st.integers(1, 3))), elements=st.floats()))
+    return u, y, f, p
+
+
+@hypothesis.given(_records())
+def test_assemble_row_views_are_the_build_hankel_blocks(record):
+    u, y, f, p = record
+    data = assemble(u, y, f, p)
+    n = u.shape[0] - f - p + 1
+    blocks = {"y_f": build_hankel(y, f, n, p), "u_f": build_hankel(u, f, n, p),
+              "z_p": np.vstack([build_hankel(u, p, n, 0), build_hankel(y, p, n, 0)])}
+    blocks["regressor"] = np.vstack([blocks["z_p"], blocks["u_f"]])
+    for name, block in blocks.items():
+        view = getattr(data, name)
+        assert np.shares_memory(view, data.stacked)
+        assert np.array_equal(view.view(np.uint64), block.view(np.uint64)), name
+
+
 @pytest.mark.parametrize("n_i, n_o, n_lags", [(1, 1, 7), (1, 1, 12), (2, 3, 10), (1, 2, 57)])
 def test_signal_windows_are_the_samples_behind_the_rows(n_i, n_o, n_lags):
     rng = np.random.default_rng(n_i + 4 * n_o)
@@ -163,16 +191,24 @@ def test_ls_residues_are_formed_on_read():
 
 # -------------------------------------------------------------- ls_estimate
 
-def _record_with_nan(seed=0, t=60):
+def _record_with_nan(seed=0, t=60, at=20):
     rng = np.random.default_rng(seed)
     u, y = rng.standard_normal(t), rng.standard_normal(t)
-    y[t // 3] = np.nan
+    y[at] = np.nan
     return assemble(u, y, 3, 3)
 
 
 def test_ls_on_non_finite_data_is_a_data_error():
     with pytest.raises(DataError, match="non-finite"):
         ls_estimate(_record_with_nan())
+
+
+def test_ls_with_a_non_finite_y_f_alone_is_a_data_error():
+    # a finite regressor solves; the nan shows only in the coefficients
+    data = _record_with_nan(at=-1)
+    assert np.isfinite(data.regressor).all()
+    with pytest.raises(DataError, match="non-finite"):
+        ls_estimate(data)
 
 
 def test_ls_failure_on_finite_data_is_a_numerical_error(monkeypatch):

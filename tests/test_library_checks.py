@@ -3,7 +3,8 @@ of sidshrink.errors: an assert statement is stripped under `python -O`. Every
 name that the package or one of its modules exports resolves. The Gibbs chain
 calls its steps through the names the benchmark's tracer wraps, and its
 iteration calls no numpy.linalg or scipy.linalg wrapper but psd_sqrt's eigh;
-the weights, noise level and r* call no scipy.linalg function.
+the weights, noise level and r* call no scipy.linalg function, and the
+n4sid weights take no SVD.
 Every dataclass field has a reader in the library, or a named reason to
 stay."""
 import ast
@@ -16,7 +17,7 @@ import pytest
 import scipy.linalg
 
 import sidshrink
-from sidshrink import bayes
+from sidshrink import bayes, estimation
 from sidshrink.bench import draw_realization
 from sidshrink.estimation import (
     SCHEMES,
@@ -148,17 +149,18 @@ def test_chain_noise_update_reads_no_data_columns(variant, monkeypatch):
         assert all(form is forms[0] for form in forms)
 
 
+def _raising(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"called {name}")
+    return call
+
+
 def _ban_functions(monkeypatch, module, allowed=()):
     """Make every function of module but the allowed ones raise when called."""
-    def banned(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"called {name}")
-        return call
-
     for name in getattr(module, "__all__", dir(module)):
         if name not in allowed and callable(getattr(module, name, None)) \
                 and not isinstance(getattr(module, name), type):
-            monkeypatch.setattr(module, name, banned(f"{module.__name__}.{name}"))
+            monkeypatch.setattr(module, name, _raising(f"{module.__name__}.{name}"))
 
 
 def test_chain_iteration_calls_no_linalg_wrapper_but_the_root_eigh(monkeypatch):
@@ -193,3 +195,15 @@ def test_weights_noise_level_and_rank_star_call_no_scipy_linalg_function(monkeyp
         weights = build_weights(scheme, data, g_f_hat=g_f_hat)
         assert noise_level(weights, np.eye(data.f * data.n_o)) > 0.0
         assert rank_star(data, ls, weights, weighted_svd(ls.h_fp_hat, weights)).r_star >= 1
+
+
+def test_n4sid_weights_take_no_svd(monkeypatch):
+    """Under n4sid factor1 comes from the principal angles between U_f and
+    Z_p, so build_weights takes no SVD of U_f' (dgesdd) or of anything else."""
+    draw = draw_realization(0, 1, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    for name in ("dgesdd", "dgesdd_lwork"):
+        monkeypatch.setattr(estimation, name, _raising(f"estimation.{name}"))
+    _ban_functions(monkeypatch, np.linalg, allowed=("eigvalsh", "qr"))
+    weights = build_weights("n4sid", data)
+    assert weights.factor1 is not None and weights.factor1 >= 1.0

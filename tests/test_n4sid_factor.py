@@ -1,11 +1,17 @@
 """The n4sid weights on the square triangular factor R' of Z_p (R'R = Z_p Z_p'):
 every map that the wide W1 H Z_p defines (truncation, the shrinkers, r*, the
 noise level) is the same map on the f x 2p W1 H R', as long as the noise
-model keeps its f x N shape."""
+model keeps its f x N shape. Its noise-level factor comes from the
+principal angles between the row spaces of U_f and Z_p, with no N-column
+basis."""
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _util import siso_model, sim_dataset
+from sidshrink import estimation
 from sidshrink.bayes import GibbsConfig
 from sidshrink.bench import METHOD_NAMES, draw_realization, identify
 from sidshrink.errors import NumericalError
@@ -152,3 +158,66 @@ def test_padded_spectrum_is_the_wide_one_up_to_rounding():
         assert _close(shrink_estimate(svd, weights, got.sigma_level, method),
                       wide.shrink(ls.h_fp_hat, got.sigma_level, method), rel=1e-10)
 
+
+# ------------------------------------------- factor1 from the principal angle
+
+def _stacked(rng, f, p, n_cols, z_in_u=None, u_repeat=False):
+    """A SISO HankelData of independent normal rows; z_in_u scales U_f's
+    second row into Z_p's third, u_repeat repeats U_f's first row."""
+    y, z, u = (rng.standard_normal((rows, n_cols)) for rows in (f, 2 * p, f))
+    if z_in_u is not None:
+        z[2] = z_in_u * u[1]
+    if u_repeat:
+        u[-1] = u[0]
+    return HankelData(stacked=np.vstack([y, z, u]), f=f, p=p, n_i=1, n_o=1)
+
+
+@pytest.mark.parametrize("run_id", (0, 57, 123, 299))
+def test_factor1_is_one_over_the_smallest_principal_angle_sine_squared(run_id):
+    draw = draw_realization(0, run_id, 0)
+    data = assemble(draw.u, draw.y, draw.f, draw.p)
+    theta_1 = scipy.linalg.subspace_angles(data.u_f.T, data.z_p.T).min()
+    factor1 = build_weights("n4sid", data).factor1
+    assert factor1 == pytest.approx(1.0 / np.sin(theta_1) ** 2, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factor1_is_none_when_a_z_p_row_lies_in_the_u_f_row_space(seed):
+    # both blocks keep full row rank, but Z_p Pi Z_p' is singular: 1 - s_1^2
+    # reads +-1e-15, where the congruence failed on some seeds and returned
+    # ~1e15 on others
+    rng = np.random.default_rng(seed)
+    data = _stacked(rng, 3, 3, 60, z_in_u=10.0 ** rng.uniform(-3, 3))
+    assert np.linalg.matrix_rank(data.z_p) == 6 and np.linalg.matrix_rank(data.u_f) == 3
+    weights = build_weights("n4sid", data)
+    assert weights.factor1 is None
+    with pytest.raises(NumericalError, match="singular"):
+        noise_level(weights, np.eye(3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_n4sid_weights_reject_a_rank_deficient_u_f(seed):
+    # U_f U_f' is singular: its Cholesky fails, or leaves a pivot of rounding size
+    data = _stacked(np.random.default_rng(seed), 3, 3, 60, u_repeat=True)
+    with pytest.raises(NumericalError, match=r"n4sid.*U_f"):
+        build_weights("n4sid", data)
+
+
+@pytest.mark.parametrize("routine, call, step", [
+    ("dpotrf", 0, "n4sid Cholesky of U_f U_f'"),
+    ("dtrtrs", 1, "n4sid L_u^-1 U_f Z_p' solve"),
+    ("dtrtrs", 2, "n4sid R'^-1 X' solve"),
+])
+def test_factor1_lapack_info_raises_numerical_error_naming_the_step(monkeypatch, routine,
+                                                                     call, step):
+    data = _stacked(np.random.default_rng(8), 4, 4, 100)
+    real, calls = getattr(estimation, routine), []
+
+    def failing_once(*args, **kwargs):
+        calls.append(routine)
+        out = real(*args, **kwargs)
+        return (*out[:-1], 2) if len(calls) == call + 1 else out
+
+    monkeypatch.setattr(estimation, routine, failing_once)
+    with pytest.raises(NumericalError, match=re.escape(f"{step} (LAPACK info 2)")):
+        build_weights("n4sid", data)

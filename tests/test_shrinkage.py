@@ -1,5 +1,7 @@
 import math
 
+import hypothesis
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -109,6 +111,29 @@ def test_sigma_zero_is_noop():
 
 
 # -------------------------------------------------------------- sure_risk
+
+@st.composite
+def _spectra(draw):
+    """(s, sigma, i, j): a descending spectrum of i values, some of them
+    repeated or zero, and a noise level."""
+    i = draw(st.integers(1, 8))
+    j = draw(st.integers(i, i + 30))
+    pool = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=i))
+    values = draw(st.lists(st.sampled_from(pool + [0.0]), min_size=i, max_size=i))
+    return np.sort(values)[::-1], draw(st.floats(0.05, 5.0)), i, j
+
+
+@hypothesis.given(_spectra())
+def test_sure_select_is_no_worse_than_a_dense_grid(case):
+    s, sigma, i, j = case
+    lam = sure_select(s, sigma, i, j)
+    assert 0.0 <= lam <= s[0]
+    best = sure_risk(s, lam, sigma, i, j)
+    # the risk's own rounding: its terms reach i j sigma^2 and sum s^2
+    tol = 1e-9 * (i * j * sigma * sigma + float(np.sum(s * s)))
+    grid = np.concatenate([np.linspace(0.0, s[0], 401), s])
+    assert best <= min(sure_risk(s, g, sigma, i, j) for g in grid) + tol
+
 
 def test_sure_risk_full_threshold_closed_form():
     # lambda above every value: estimator is zero, SURE = sum s^2 - ij sigma^2
