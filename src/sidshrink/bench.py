@@ -177,11 +177,12 @@ class Identification:
 
 
 def identify(data: HankelData, scheme: str, methods: tuple[str, ...],
-             gibbs: GibbsConfig, rng: np.random.Generator) -> Identification:
+             gibbs: GibbsConfig, rng: np.random.Generator | None) -> Identification:
     """LS estimate, noise (cva only), weights, one weighted SVD and r*, then
     each method's estimate and the rank it kept: the rule's order for a
     heuristic, the count of svd.values a shrinker leaves nonzero, r* for bayes.
-    The chain runs at rank r* and is the only reader of rng."""
+    The chain runs at rank r* and is the only reader of rng, which may be
+    None when methods hold no bayes."""
     ls = ls_estimate(data)
     g_f_hat = None
     if scheme == "cva":
@@ -262,7 +263,8 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
         try:
             system_stream, chain_stream = _streams(config.seed, run_id, attempt)
             draw = _draw(system_stream)
-            chain_rng = np.random.default_rng(chain_stream)
+            # only the chain reads a generator
+            chain_rng = np.random.default_rng(chain_stream) if "bayes" in config.methods else None
             ident = identify(assemble(draw.u, draw.y, draw.f, draw.p), config.scheme,
                              config.methods, config.gibbs, chain_rng)
             truth = true_decomposition(draw.model, draw.f, draw.p)

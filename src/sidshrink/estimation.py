@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 # the weights call LAPACK directly, with the arguments scipy.linalg passes,
 # so their bits are scipy's without the wrappers' checks and dispatch, a
 # large share of these small factorisations
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dtrtrs
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dsyevr, dtrtrs
 
 from .errors import DataError, NumericalError
 from .linalg import checked, hankel_windows, toeplitz_project
@@ -197,7 +197,8 @@ class WeightPair:
     symmetric root of Z_p Pi Z_p'; 1 / (1 - cos^2 theta_1) under n4sid,
     theta_1 the smallest principal angle between the row spaces of U_f and
     Z_p; and a congruence with Z_p Pi Z_p' under identity. It is None
-    when Z_p Pi Z_p' is singular.
+    when Z_p Pi Z_p' is singular to working accuracy, 1 - cos^2 theta_1 at
+    or below RCOND, under n4sid and identity alike.
     """
 
     w1: np.ndarray
@@ -225,9 +226,9 @@ def assemble(u, y, f: int, p: int) -> HankelData:
     """Build the past/future Hankel blocks from aligned input/output samples.
 
     U_p spans samples k-p..k-1 and U_f spans k..k+f-1 for k = p, giving
-    N = T - f - p + 1 columns. The windows of u and y are copied once into
-    one C-contiguous [Y_f; U_p; Y_p; U_f] buffer, and every block, Z_p =
-    [U_p; Y_p] included, is a row view of it.
+    N = T - f - p + 1 columns. The windows of [u y], one strided view, are
+    copied once into one C-contiguous [Y_f; U_p; Y_p; U_f] buffer, and every
+    block, Z_p = [U_p; Y_p] included, is a row view of it.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,14 +244,15 @@ def assemble(u, y, f: int, p: int) -> HankelData:
     n = t - f - p + 1
     if n < 1:
         raise DataError(f"need at least f + p = {f + p} samples, have {t}")
-    # f + p windows each: the first p are the past block rows, the rest the future
-    win_u, win_y = hankel_windows(u, n), hankel_windows(y, n)
-    parts = (win_y[p:], win_u[:p], win_y[:p], win_u[p:])     # Y_f, U_p, Y_p, U_f
+    # f + p windows of [u y]: the first p are the past block rows, the rest the future
+    n_i = u.shape[1]
+    win = hankel_windows(np.concatenate((u, y), axis=1), n)
+    parts = (win[p:, n_i:], win[:p, :n_i], win[:p, n_i:], win[p:, :n_i])  # Y_f, U_p, Y_p, U_f
     edges = np.cumsum([0] + [w.shape[0] * w.shape[1] for w in parts]).tolist()
     buf = np.empty((edges[-1], n))
     for win, a, b in zip(parts, edges, edges[1:]):
         buf[a:b].reshape(win.shape)[...] = win
-    return HankelData(stacked=buf, f=f, p=p, n_i=u.shape[1], n_o=y.shape[1])
+    return HankelData(stacked=buf, f=f, p=p, n_i=n_i, n_o=y.shape[1])
 
 
 def residues(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray) -> np.ndarray:
@@ -363,6 +365,25 @@ def _max_eig_congruence(zpz: np.ndarray, w2: np.ndarray) -> float | None:
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
+def _identity_factor1(data: HankelData, zpz: np.ndarray) -> float | None:
+    """lambda_max((Z_p Pi Z_p')^-1), the identity weights' factor1, from the
+    congruence; None when Z_p Pi Z_p' is singular to working accuracy.
+
+    Whether the congruence's Cholesky happens to succeed on a singular
+    Z_p Pi Z_p' depends on rounding, so singularity is decided, as under
+    n4sid, from the share of Z_p's energy that the projection leaves:
+    min over v of v'Z_p Pi Z_p'v / v'Z_p Z_p'v = 1 - cos^2 theta_1 =
+    lambda_min(L^-1 (Z_p Pi Z_p') L^-T), Z_p Z_p' = L L', at or below RCOND.
+    """
+    factor1 = _max_eig_congruence(zpz, np.eye(zpz.shape[0]))
+    chol = dpotrf(data.z_p @ data.z_p.T, lower=1)
+    if factor1 is None or chol[-1] != 0:
+        return None
+    x = checked(dtrtrs(chol[0], zpz, lower=1), "identity L^-1 Z_p Pi Z_p' solve")
+    share = checked(dtrtrs(chol[0], x.T, lower=1), "identity L^-1 Z_p Pi Z_p' L^-T solve")
+    return factor1 if np.linalg.eigvalsh((share + share.T) / 2.0)[0] > RCOND else None
+
+
 def _n4sid_factor1(data: HankelData, r: np.ndarray) -> float | None:
     """lambda_max(w2' (Z_p Pi Z_p')^-1 w2) for the n4sid w2 = R', R'R =
     Z_p Z_p', from the f x (2p + f) product U_f [Z_p; U_f]', the only
@@ -397,7 +418,8 @@ def build_weights(scheme: str, data: HankelData,
     """Weight pair for one scheme.
 
     identity: w1 = I, w2 = I; factor1 from the congruence with
-              Z_p Pi Z_p'.
+              Z_p Pi Z_p', None when the principal angle between U_f and
+              Z_p leaves it singular (_identity_factor1).
     cva:      w1 = g_f_hat^-1, w2 = (Z_p Pi Z_p')^(1/2), the symmetric root
               from one eigh, so factor1 is 1.0 with no further factorisation.
     n4sid:    w1 = I, w2 = R' with R = data.z_factor, the triangular factor
@@ -446,7 +468,7 @@ def build_weights(scheme: str, data: HankelData,
         w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv, n_cols=n_past,
         # under cva zpz = V L V' and w2 = V L^(1/2) V', so w2' zpz^-1 w2 = I
         # exactly; the congruence would return 1 only to within ~1e-9
-        factor1=1.0 if scheme == "cva" else _max_eig_congruence(zpz, w2),
+        factor1=1.0 if scheme == "cva" else _identity_factor1(data, zpz),
     )
 
 
@@ -457,12 +479,15 @@ def noise_level(weights: WeightPair, g_hat_sq: np.ndarray) -> float:
 
     floored at SIGMA_FLOOR so thresholds stay finite on noiseless data. The
     first factor is weights.factor1, 1.0 under cva, so there sigma^2 =
-    lambda_max(w1 GG' w1').
+    lambda_max(w1 GG' w1'). The second is LAPACK dsyevr's top eigenvalue
+    alone, which costs about half of a full eigvalsh at f = 20.
     """
     if weights.factor1 is None:
         raise NumericalError("noise level undefined: Z_p Pi Z_p' is singular")
     m = weights.w1 @ g_hat_sq @ weights.w1.T
-    factor2 = float(np.linalg.eigvalsh((m + m.T) / 2.0)[-1])
+    n = m.shape[0]
+    factor2 = float(checked(dsyevr((m + m.T) / 2.0, compute_v=0, range="I", il=n, iu=n),
+                            "noise level eigenvalue")[0])
     if factor2 < 0.0:
         factor2 = 0.0
     return max(math.sqrt(weights.factor1 * factor2), SIGMA_FLOOR)
@@ -533,10 +558,9 @@ def rank_star(data: HankelData, ls: LsEstimate, weights: WeightPair,
         h_trunc = truncate_estimate(svd, weights, r)
         noise = estimate_noise(data, h_trunc, ls.h_f_hat, rank_used=r)
         sigma_r = noise_level(weights, noise.g_hat_sq)
-        last = RankStar(r_star=r, sigma_level=sigma_r, converged=True)
-        if np.sum(svd.values > soft_threshold_level(dim_i, dim_j, sigma_r)) < r:
-            return last
-    return replace(last, converged=False)
+        if np.count_nonzero(svd.values > soft_threshold_level(dim_i, dim_j, sigma_r)) < r:
+            return RankStar(r_star=r, sigma_level=sigma_r, converged=True)
+    return RankStar(r_star=dim_i, sigma_level=sigma_r, converged=False)
 
 
 def order_heuristic_neff(s) -> int:

@@ -52,8 +52,14 @@ def hankel_windows(signal: np.ndarray, cols: int) -> np.ndarray:
     """Read-only (T - cols + 1, d, cols) view w of a (T, d) signal with
     w[m, c, l] = signal[m + l, c]: block rows start..start+k-1 of a Hankel
     matrix with `cols` columns are w[start:start + k], each block's d rows
-    stacked."""
-    return np.lib.stride_tricks.sliding_window_view(signal, cols, axis=0)
+    stacked. Formed by as_strided, without sliding_window_view's argument
+    handling; 1 <= cols <= T."""
+    t, d = signal.shape
+    if not 1 <= cols <= t:
+        raise ValueError(f"{cols} columns do not fit a {t}-sample signal")
+    step, channel = signal.strides
+    return np.lib.stride_tricks.as_strided(
+        signal, (t - cols + 1, d, cols), (step, channel, step), writeable=False)
 
 
 def build_hankel(signal, block_rows: int, cols: int, start: int = 0) -> np.ndarray:

@@ -265,12 +265,44 @@ def _block_toeplitz(blocks: np.ndarray, f: int) -> np.ndarray:
     return tiles.transpose(0, 2, 1, 3).reshape(f * r, f * c)
 
 
+def _power_stack(first: np.ndarray, a: np.ndarray, count: int) -> np.ndarray:
+    """The blocks first @ a^r for r = 0..count-1, stacked by rows, by
+    repeated squaring: the blocks for r < m times a^m are those for
+    m <= r < 2m, so log2(count) products fill them."""
+    rows = first.shape[0]
+    out = np.empty((count * rows, first.shape[1]))
+    out[:rows] = first
+    power, done = a, 1
+    while done < count:
+        take = min(done, count - done)
+        np.matmul(out[:take * rows], power, out=out[done * rows:(done + take) * rows])
+        done += take
+        if done < count:
+            power = power @ power
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _reach_order(p: int, n_i: int, n_o: int) -> np.ndarray:
+    """Row order that turns the blocks (A_K^r [B - KD, K])', r = 0..p-1, into
+    L_p': the input blocks, then the output blocks, each from r = p-1 down."""
+    q = n_i + n_o
+    lag = (p - 1 - np.arange(p))[:, None] * q
+    order = np.concatenate([(lag + np.arange(n_i)).ravel(), (lag + n_i + np.arange(n_o)).ravel()])
+    order.setflags(write=False)
+    return order
+
+
 def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposition:
     """Exact extended-model matrices at horizons (f, p).
 
     gamma_f stacks C A^r; l_p concatenates the input-driven and
     output-driven predictor reachability blocks (input block first, matching
     a past regressor stacked as [U_p; Y_p]); h_fp is their exact product.
+    Both are built by repeated squaring (_power_stack): Gamma_f from C and
+    A, and both reachability blocks in one recursion over the columns
+    [B - KD, K] with A_K = A - KC, so a product reorders its terms against
+    a loop of single powers but agrees with it to rounding.
     """
     if f < 1 or p < 1:
         raise ValueError("horizons must be positive")
@@ -279,25 +311,9 @@ def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposit
         warnings.warn("horizons not larger than the state order; the extended "
                       "model truncation error may dominate", stacklevel=2)
     a, b, c, d, k = model.a, model.b, model.c, model.d, model.k
-    a_k = a - k @ c
-    b_k1 = b - k @ d
-    b_k2 = k.copy()
-
-    # observability blocks C A^r
-    obs = np.empty((f * n_o, n_x))
-    obs[:n_o] = c
-    for r in range(1, f):
-        obs[r * n_o:(r + 1) * n_o] = obs[(r - 1) * n_o:r * n_o] @ a
-
-    # predictor reachability: [A_K^(p-1) B, ..., A_K B, B]
-    def reach(bmat: np.ndarray) -> np.ndarray:
-        cols = [bmat]
-        cur = bmat
-        for _ in range(p - 1):
-            cur = a_k @ cur
-            cols.append(cur)
-        return np.hstack(cols[::-1])
-
-    l_p = np.hstack([reach(b_k1), reach(b_k2)])
-
-    return TrueDecomposition(model=model, gamma_f=obs, l_p=l_p, h_fp=obs @ l_p, f=f, p=p)
+    gamma_f = _power_stack(c, a, f)
+    # rows r: (A_K^r [B - KD, K])', from the transposed recursion
+    reach = _power_stack(np.concatenate((b - k @ d, k), axis=1).T, (a - k @ c).T, p)
+    l_p = reach[_reach_order(p, model.n_i, n_o)].T
+    return TrueDecomposition(model=model, gamma_f=gamma_f, l_p=l_p, h_fp=gamma_f @ l_p,
+                             f=f, p=p)

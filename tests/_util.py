@@ -90,3 +90,21 @@ def mann_kendall_z(x):
     elif s < 0:
         s += 1.0
     return s / np.sqrt(var_s)
+
+
+def truth_power_loop(model, f, p):
+    """Reference: Gamma_f and L_p from one power of A or A_K at a time,
+    [A_K^(p-1) B_K, ..., A_K B_K, B_K] for B_K = B - KD and then for K."""
+    a, b, c, d, k = model.a, model.b, model.c, model.d, model.k
+    a_k = a - k @ c
+    obs = [c]
+    for _ in range(f - 1):
+        obs.append(obs[-1] @ a)
+
+    def reach(bmat):
+        cols = [bmat]
+        for _ in range(p - 1):
+            cols.append(a_k @ cols[-1])
+        return np.hstack(cols[::-1])
+
+    return np.vstack(obs), np.hstack([reach(b - k @ d), reach(k)])

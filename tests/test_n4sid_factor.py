@@ -195,6 +195,25 @@ def test_factor1_is_none_when_a_z_p_row_lies_in_the_u_f_row_space(seed):
         noise_level(weights, np.eye(3))
 
 
+def test_identity_factor1_is_none_when_a_z_p_row_lies_in_the_u_f_row_space():
+    # the same singular Z_p Pi Z_p': the congruence's Cholesky used to fail
+    # on 110 of these 200 cases and to return 2.7e7 to 3.7e19 on the rest;
+    # the principal-angle cut gives None on all of them
+    factors = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        data = _stacked(rng, 3, 3, 60, z_in_u=10.0 ** rng.uniform(-3, 3))
+        factors.append(build_weights("identity", data).factor1)
+    assert factors == [None] * 200
+
+
+def test_identity_factor1_is_the_congruence_on_regular_data():
+    data = _stacked(np.random.default_rng(3), 3, 3, 60)
+    x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)), np.eye(6))
+    expect = float(np.linalg.eigvalsh(x @ x.T)[-1])
+    assert build_weights("identity", data).factor1 == pytest.approx(expect, rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_n4sid_weights_reject_a_rank_deficient_u_f(seed):
     # U_f U_f' is singular: its Cholesky fails, or leaves a pivot of rounding size

@@ -1,13 +1,14 @@
 """The realization draw: bench.draw_realization, the state-only simulate
 loop, the doubling Kalman gain, the Markov blocks of true_decomposition,
 and the callers that share the draw (single_run, cli simulate)."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from _util import quiet_decomposition, simulate_per_step
+from _util import quiet_decomposition, simulate_per_step, truth_power_loop
 from sidshrink import bench, cli, estimation, systems
 from sidshrink.bayes import GibbsConfig
 from sidshrink.bench import BenchConfig, draw_realization, single_run
@@ -155,6 +156,30 @@ def test_markov_blocks_match_power_loop():
         assert np.array_equal(td.h_f[n_o:2 * n_o, :n_i], td.h_f[-n_o:, -2 * n_i:-n_i])
         # f = 1 leaves no Markov block past D
         assert np.array_equal(quiet_decomposition(model, 1, 1).h_f, model.d)
+
+
+def _assert_truth_matches_power_loop(model, f, p):
+    td = quiet_decomposition(model, f, p)
+    gamma_ref, l_ref = truth_power_loop(model, f, p)
+    for got, ref in ((td.gamma_f, gamma_ref), (td.l_p, l_ref)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # h_fp is the product of the two returned factors, bit for bit
+    assert np.array_equal(td.h_fp, td.gamma_f @ td.l_p)
+
+
+def test_truth_by_repeated_squaring_matches_the_power_loop():
+    # the 300 systems of the seed-0 protocol, at their horizons
+    for run_id in range(300):
+        model, _, _, f = sample_system(SystemSpec(), _system_stream(0, run_id, 0))
+        _assert_truth_matches_power_loop(model, f, f)
+
+
+@pytest.mark.parametrize("f, p", [(1, 1), (2, 7), (7, 2), (16, 16), (25, 13)])
+def test_truth_by_repeated_squaring_matches_the_power_loop_mimo_with_feedthrough(f, p):
+    model, _, _, _ = sample_system(SystemSpec(n_i=2, n_o=3), np.random.default_rng(4))
+    d = np.random.default_rng(5).standard_normal((3, 2))
+    _assert_truth_matches_power_loop(dataclasses.replace(model, d=d), f, p)
 
 
 def _no_toeplitz(*args, **kwargs):

@@ -355,6 +355,42 @@ def test_sure_select_matches_per_piece_reference():
         assert abs(lam - lam_ref) <= tol, (trial, s, lam, lam_ref)
 
 
+# acceptance-size spectra (f = 16..24 values, j = 2f) and the lam the
+# parent's sort-and-search minimiser chose for each
+_PINNED = {
+    # soft-threshold edge ~10.8 above s_1 = 2: the zero estimate wins
+    "all_collapse": (np.linspace(2.0, 0.1, 20), 1.0, 40, 2.0),
+    # a triple value 7.5 on which lam lands, and a stationary point below it
+    "duplicates_at_knot": ((30.0, 18.0, 11.0, 7.5, 7.5, 7.5, 4.0, 3.2, 2.5, 2.0,
+                            1.6, 1.3, 1.1, 0.9, 0.7, 0.5), 1.23, 32, 7.5),
+    "duplicates_interior": ((30.0, 18.0, 11.0, 7.5, 7.5, 7.5, 4.0, 3.2, 2.5, 2.0,
+                             1.6, 1.3, 1.1, 0.9, 0.7, 0.5), 0.22, 32, 0.5177730969558236),
+    # six trailing zeros, as an n4sid spectrum padded to min(shape) values
+    "trailing_zeros_knot": ((40.0, 21.0, 9.0, 6.5, 5.0, 4.2, 3.1, 2.6, 2.2, 1.9, 1.5, 1.2,
+                             1.0, 0.8, 0.6, 0.45, 0.3, 0.2) + (0.0,) * 6, 0.5, 48, 2.6),
+    "trailing_zeros_interior": ((40.0, 21.0, 9.0, 6.5, 5.0, 4.2, 3.1, 2.6, 2.2, 1.9, 1.5, 1.2,
+                                 1.0, 0.8, 0.6, 0.45, 0.3, 0.2) + (0.0,) * 6, 0.11, 48,
+                                0.34777083588699914),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_sure_select_pinned_acceptance_size_cases(name):
+    s, sigma, j, expect = _PINNED[name]
+    s = np.asarray(s, dtype=float)
+    i = s.size
+    with np.errstate(divide="raise", invalid="raise"):
+        lam = sure_select(s, sigma, i, j)
+    assert lam == pytest.approx(expect, rel=0.0, abs=1e-12 * s[0])
+    if expect in s:
+        assert lam == expect   # a knot is returned exactly
+    # the reference splits ties by up to 1e-9 * i relative
+    assert lam == pytest.approx(_sure_select_per_piece(s, sigma, i, j), rel=0.0, abs=1e-8 * s[0])
+    grid = np.concatenate([np.linspace(0.0, s[0], 2001), s])
+    best = sure_risk(s, lam, sigma, i, j)
+    assert best <= min(sure_risk(s, g, sigma, i, j) for g in grid) + 1e-9 * i * j * sigma ** 2
+
+
 # --------------------------------------------------------- shrink_estimate
 
 def _identity_weights():
