@@ -282,17 +282,6 @@ def _power_stack(first: np.ndarray, a: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _reach_order(p: int, n_i: int, n_o: int) -> np.ndarray:
-    """Row order that turns the blocks (A_K^r [B - KD, K])', r = 0..p-1, into
-    L_p': the input blocks, then the output blocks, each from r = p-1 down."""
-    q = n_i + n_o
-    lag = (p - 1 - np.arange(p))[:, None] * q
-    order = np.concatenate([(lag + np.arange(n_i)).ravel(), (lag + n_i + np.arange(n_o)).ravel()])
-    order.setflags(write=False)
-    return order
-
-
 def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposition:
     """Exact extended-model matrices at horizons (f, p).
 
@@ -306,14 +295,17 @@ def true_decomposition(model: StateSpaceModel, f: int, p: int) -> TrueDecomposit
     """
     if f < 1 or p < 1:
         raise ValueError("horizons must be positive")
-    n_x, n_o = model.n_x, model.n_o
+    n_x = model.n_x
     if f <= n_x or p <= n_x:
         warnings.warn("horizons not larger than the state order; the extended "
                       "model truncation error may dominate", stacklevel=2)
     a, b, c, d, k = model.a, model.b, model.c, model.d, model.k
     gamma_f = _power_stack(c, a, f)
-    # rows r: (A_K^r [B - KD, K])', from the transposed recursion
+    # rows r: (A_K^r [B - KD, K])', from the transposed recursion; L_p' is
+    # the input blocks, then the output blocks, each from r = p-1 down
     reach = _power_stack(np.concatenate((b - k @ d, k), axis=1).T, (a - k @ c).T, p)
-    l_p = reach[_reach_order(p, model.n_i, n_o)].T
+    r = reach.reshape(p, -1, n_x)[::-1]
+    l_p = np.concatenate((r[:, :model.n_i].reshape(-1, n_x),
+                          r[:, model.n_i:].reshape(-1, n_x))).T
     return TrueDecomposition(model=model, gamma_f=gamma_f, l_p=l_p, h_fp=gamma_f @ l_p,
                              f=f, p=p)

@@ -1,15 +1,17 @@
 """Measure a change against its parent with perfbench, in alternating pairs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \
-        [--pairs 10] [--seconds 50] [--seed 0] [--confirm SEED:PAIRS ...] \
-        [--workloads mc_cva_fast identify_long] [--what TEXT]
+        [--pairs 10] [--confirm SEED:PAIRS ...] [--what TEXT]
 
-DIR is a checkout of each commit. Every pair runs `python3 perfbench/run.py
---workload W --seed S --seconds T --trace 0` in both checkouts, one after
-the other, and alternates which side goes first; each run's result file is
-read from the checkout's perfbench/out/ as soon as it ends. --confirm adds
-pairs at another seed, such as one not used while the change was written.
-Then each side runs every workload once at --trace 1 and seed 0.
+DIR is a checkout of each commit. For every workload of BENCHMARK.json,
+every pair runs `python3 perfbench/run.py --workload W --seed 0 --seconds T
+--trace 0` in both checkouts, one after the other, with T the benchmark's
+run_seconds, and alternates which side goes first. A run's result file is
+removed before the run and read from the checkout's perfbench/out/ as soon
+as it ends, so a run that writes none stops the tool. --confirm adds pairs
+of the first workload at another seed, such as one not used while the
+change was written. Then each side runs every workload once at --trace 1
+and seed 0. --what is the record's description of the change.
 
 The summary goes to BENCH_<label>.json in the current directory:
 
@@ -36,17 +38,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SIDES = ("parent", "change")
+SEED = 0
 CHILD_TIMEOUT_S = 1800
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in a checkout; returns its result file."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run in a checkout; returns the result file it wrote.
+
+    run.py exits with 1 both when its result is incorrect (the file is
+    written) and when it raises (no file), so only a file written by this
+    run counts: the one from an earlier run is removed first."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
+    path = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    path.unlink(missing_ok=True)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=CHILD_TIMEOUT_S)
-    path = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
     if proc.returncode not in (0, 1) or not path.is_file():
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
@@ -122,22 +131,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--confirm", nargs="*", default=[], metavar="SEED:PAIRS",
-                        help="extra pairs at other seeds, for the workloads' first entry")
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in json.loads(
-                            (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+                        help="extra pairs at other seeds, for the first workload")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    plan = [(w, args.seed, args.pairs) for w in args.workloads]
+    plan = [(w, SEED, args.pairs) for w in workloads]
     for item in args.confirm:
         seed, pairs = (int(x) for x in item.split(":"))
-        plan.append((args.workloads[0], seed, pairs))
+        plan.append((workloads[0], seed, pairs))
 
     record = {"what": args.what, "machine": "", "pairs": {}, "traced": {}, "result_files": {}}
     for workload, seed, n_pairs in plan:
@@ -147,18 +151,18 @@ def main(argv=None) -> int:
             sides = SIDES if k % 2 == 0 else SIDES[::-1]
             order.append(sides[0])
             for side in sides:
-                result = run_once(checkouts[side], workload, seed, args.seconds, 0)
+                result = run_once(checkouts[side], workload, seed, 0)
                 runs[side].append(result)
                 if k == 0:
                     record["result_files"][f"{side}/{workload}/seed{seed}/trace0/pair0"] = result
         record["pairs"][f"{workload}/seed{seed}"] = summarise_pairs(
-            benchmark["end_to_end"], order, runs)
-    for workload in args.workloads:
+            BENCHMARK["end_to_end"], order, runs)
+    for workload in workloads:
         record["traced"][workload] = {}
         for side in SIDES:
-            result = run_once(checkouts[side], workload, 0, args.seconds, 1)
+            result = run_once(checkouts[side], workload, SEED, 1)
             record["traced"][workload][side] = traced_summary(result)
-            record["result_files"][f"{side}/{workload}/seed0/trace1"] = result
+            record["result_files"][f"{side}/{workload}/seed{SEED}/trace1"] = result
     env = next(iter(record["result_files"].values()))["env"]
     record["machine"] = (f"{env['nproc']}-CPU host, numpy {env['numpy']}, scipy {env['scipy']}, "
                          f"{env['blas']}, {env['blas_threads']} BLAS thread; op times scaled by "
