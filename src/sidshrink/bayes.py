@@ -300,14 +300,7 @@ class HankelForm:
         values[:coef.size] = coef.ravel()
         np.matmul(coef, self.edge_columns, out=values[coef.size:-1].reshape(i, -1))
         values[-1] = 0.0
-        sums = values.take(self.gather)
-        # running sums down the rows, np.cumsum(axis=0)'s bits in f row adds
-        # where cumsum makes one strided pass per column
-        prev = sums[0]
-        for row in sums[1:]:
-            np.add(prev, row, out=row)
-            prev = row
-        terms = sums.take(self.pick)
+        terms = values.take(self.gather).cumsum(axis=0).take(self.pick)
         factor = np.empty((self.root.shape[0] + terms.shape[0] - n_win, i))
         np.matmul(self.root, terms[:n_win], out=factor[:self.root.shape[0]])
         np.multiply(terms[n_win:], self.edge_scale, out=factor[self.root.shape[0]:])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,16 +223,17 @@ class Realization:
     p: int
 
 
-def _streams(seed: int, run_id: int, attempt: int) -> list[np.random.SeedSequence]:
-    """The (system, chain) seed sequences of one attempt."""
-    return np.random.SeedSequence([seed, run_id, attempt]).spawn(2)
+def _stream(seed: int, run_id: int, attempt: int, k: int) -> np.random.SeedSequence:
+    """Seed sequence k of one attempt, 0 for the system and 1 for the chain:
+    SeedSequence([seed, run_id, attempt]).spawn(2)[k], built alone."""
+    return np.random.SeedSequence([seed, run_id, attempt], spawn_key=(k,))
 
 
 def draw_realization(seed: int, run_id: int, attempt: int) -> Realization:
     """Sample a system and simulate its record from the attempt's system
     stream. A horizon that does not exceed the state dimension is a
     protocol fault, not a bad draw, and raises ConfigError."""
-    return _draw(_streams(seed, run_id, attempt)[0])
+    return _draw(_stream(seed, run_id, attempt, 0))
 
 
 def _draw(system_stream: np.random.SeedSequence) -> Realization:
@@ -261,10 +261,10 @@ def single_run(config: BenchConfig, run_id: int, keep_payload: bool = False):
     last_error = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            system_stream, chain_stream = _streams(config.seed, run_id, attempt)
-            draw = _draw(system_stream)
+            draw = _draw(_stream(config.seed, run_id, attempt, 0))
             # only the chain reads a generator
-            chain_rng = np.random.default_rng(chain_stream) if "bayes" in config.methods else None
+            chain_rng = (np.random.default_rng(_stream(config.seed, run_id, attempt, 1))
+                         if "bayes" in config.methods else None)
             ident = identify(assemble(draw.u, draw.y, draw.f, draw.p), config.scheme,
                              config.methods, config.gibbs, chain_rng)
             truth = true_decomposition(draw.model, draw.f, draw.p)
@@ -299,6 +299,7 @@ def run_benchmark(config: BenchConfig) -> RiskReport:
     start = time.perf_counter()
     run = functools.partial(single_run, config)
     if config.parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a parallel run forks
         chunk = max(1, config.runs // (4 * config.parallelism))
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             records = list(pool.map(run, range(config.runs), chunksize=chunk))

@@ -112,7 +112,7 @@ def _load_config_file(path) -> dict:
             loaded = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -169,6 +169,14 @@ def _bench_config(resolved: dict, runs: int | None = None) -> BenchConfig:
                        parallelism=resolved["threads"])
 
 
+def _sibling(out: Path, tail: str) -> Path:
+    """The file beside out named out's stem + tail; ConfigError when --out
+    names no file (".", "/")."""
+    if not out.name:
+        raise ConfigError(f"--out {str(out)!r} names no file")
+    return out.with_name(out.stem + tail)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Write realization 0 of the benchmark protocol at the configured seed:
     the first attempt whose draw succeeds, with no estimator run."""
@@ -199,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "nx": model.n_x,
     }
     out = Path(args.out if args.out else "simulated.csv")
-    truth_path = out.with_name(out.stem + "_truth" + (out.suffix or ".csv"))
+    truth_path = _sibling(out, "_truth" + (out.suffix or ".csv"))
     write_timeseries(out, draw.u, draw.y, config=meta)
     write_matrices(truth_path, {
         "a": model.a, "b": model.b, "c": model.c, "d": model.d,
@@ -254,10 +262,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     resolved = parse_config(args)
     config = _bench_config(resolved)
     echo = {k: resolved[k] for k in sorted(resolved)}
+    out = Path(args.out if args.out else "benchmark_runs.csv")
+    summary_path = _sibling(out, "_summary.json")
     print("config: " + json.dumps(_sanitize(echo), sort_keys=True))
     report = run_benchmark(config)
-    out = Path(args.out if args.out else "benchmark_runs.csv")
-    summary_path = out.with_name(out.stem + "_summary.json")
     write_run_records(out, report.per_run, config.scheme, config=echo)
     write_summary(summary_path, report.summary, config=echo)
     print(json.dumps(_sanitize(report.summary), indent=2, sort_keys=True))
@@ -286,7 +294,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, DataError) as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -74,8 +74,11 @@ def _read_lines(path):
     line_no(k) is the file line number of body[k], found by a scan of the
     file's lines that only an error message pays for.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     meta = {}
     for at, line in _hash_lines(text):
         payload = line[1:].strip()

@@ -333,13 +333,13 @@ def estimate_noise(data: HankelData, h_fp_hat: np.ndarray, h_f_hat: np.ndarray,
     return NoiseEstimate(g_hat_sq=g_hat_sq)
 
 
-def _zpz_perp(data: HankelData) -> np.ndarray:
-    """Z_p Pi Z_p' with Pi the projector onto the orthogonal complement of
-    the U_f row space, computed from an orthonormal basis of U_f' (no N x N
-    projector is ever formed). The basis is scipy.linalg.orth(U_f') bit for
-    bit: the left vectors of dgesdd's thin SVD whose values exceed
-    max(M, N) eps s_1. Only cva (its w2) and identity (the congruence) read
-    it; n4sid needs no N x f basis."""
+def _zpz_perp(data: HankelData) -> tuple[np.ndarray, np.ndarray]:
+    """(Z_p Pi Z_p', Z_p Z_p') with Pi the projector onto the orthogonal
+    complement of the U_f row space, computed from an orthonormal basis of
+    U_f' (no N x N projector is ever formed). The basis is
+    scipy.linalg.orth(U_f') bit for bit: the left vectors of dgesdd's thin
+    SVD whose values exceed max(M, N) eps s_1. Only cva (its w2) and
+    identity (factor1) read them; n4sid needs no N x f basis."""
     a = data.u_f.T
     lwork = checked(dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0),
                     "SVD workspace of U_f'")
@@ -347,41 +347,39 @@ def _zpz_perp(data: HankelData) -> np.ndarray:
     u, s = checked(svd, "SVD of U_f'"), svd[1]
     q = u[:, :np.sum(s > s.max(initial=0.0) * (np.finfo(float).eps * max(a.shape)))]
     zq = data.z_p @ q
-    out = data.z_p @ data.z_p.T - zq @ zq.T
-    return (out + out.T) / 2.0
+    zz = data.z_p @ data.z_p.T
+    out = zz - zq @ zq.T
+    return (out + out.T) / 2.0, zz
 
 
-def _max_eig_congruence(zpz: np.ndarray, w2: np.ndarray) -> float | None:
-    """lambda_max(w2' zpz^-1 w2) as the top eigenvalue of L^-1 (w2 w2') L^-T,
-    zpz = L L': the solves run on the square Gram w2 w2', never on the
-    columns of a wide w2. L is C-ordered, so each solve hands dtrtrs L' as
-    an upper factor with trans=1, as scipy.linalg.solve_triangular does."""
+def _identity_factor1(zpz: np.ndarray, zz: np.ndarray) -> float | None:
+    """lambda_max((Z_p Pi Z_p')^-1), the identity weights' factor1, as the top
+    eigenvalue of L^-1 L^-T, zpz = L L' (the congruence with w2 = I); None
+    when Z_p Pi Z_p' is singular to working accuracy. L is C-ordered, so
+    each solve hands dtrtrs L' as an upper factor with trans=1, as
+    scipy.linalg.solve_triangular does.
+
+    Whether that Cholesky happens to succeed on a singular Z_p Pi Z_p'
+    depends on rounding, so singularity is decided, as under n4sid, from
+    the share of Z_p's energy that the projection leaves: min over v of
+    v'Z_p Pi Z_p'v / v'Z_p Z_p'v = 1 - cos^2 theta_1 =
+    lambda_min(M^-1 (Z_p Pi Z_p') M^-T), zz = Z_p Z_p' = M M', at or
+    below RCOND.
+    """
     try:
         chol = np.linalg.cholesky(zpz)
     except np.linalg.LinAlgError:
         return None
-    x = checked(dtrtrs(chol.T, w2 @ w2.T, lower=0, trans=1), "L^-1 w2 w2' solve")
-    gram = checked(dtrtrs(chol.T, x.T, lower=0, trans=1), "L^-1 (w2 w2') L^-T solve")
-    return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
-
-
-def _identity_factor1(data: HankelData, zpz: np.ndarray) -> float | None:
-    """lambda_max((Z_p Pi Z_p')^-1), the identity weights' factor1, from the
-    congruence; None when Z_p Pi Z_p' is singular to working accuracy.
-
-    Whether the congruence's Cholesky happens to succeed on a singular
-    Z_p Pi Z_p' depends on rounding, so singularity is decided, as under
-    n4sid, from the share of Z_p's energy that the projection leaves:
-    min over v of v'Z_p Pi Z_p'v / v'Z_p Z_p'v = 1 - cos^2 theta_1 =
-    lambda_min(L^-1 (Z_p Pi Z_p') L^-T), Z_p Z_p' = L L', at or below RCOND.
-    """
-    factor1 = _max_eig_congruence(zpz, np.eye(zpz.shape[0]))
-    chol = dpotrf(data.z_p @ data.z_p.T, lower=1)
-    if factor1 is None or chol[-1] != 0:
+    x = checked(dtrtrs(chol.T, np.eye(zpz.shape[0]), lower=0, trans=1), "L^-1 solve")
+    gram = checked(dtrtrs(chol.T, x.T, lower=0, trans=1), "L^-1 L^-T solve")
+    m = dpotrf(zz, lower=1)
+    if m[-1] != 0:
         return None
-    x = checked(dtrtrs(chol[0], zpz, lower=1), "identity L^-1 Z_p Pi Z_p' solve")
-    share = checked(dtrtrs(chol[0], x.T, lower=1), "identity L^-1 Z_p Pi Z_p' L^-T solve")
-    return factor1 if np.linalg.eigvalsh((share + share.T) / 2.0)[0] > RCOND else None
+    x = checked(dtrtrs(m[0], zpz, lower=1), "identity M^-1 Z_p Pi Z_p' solve")
+    share = checked(dtrtrs(m[0], x.T, lower=1), "identity M^-1 Z_p Pi Z_p' M^-T solve")
+    if np.linalg.eigvalsh((share + share.T) / 2.0)[0] <= RCOND:
+        return None
+    return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
 
 def _n4sid_factor1(data: HankelData, r: np.ndarray) -> float | None:
@@ -446,7 +444,7 @@ def build_weights(scheme: str, data: HankelData,
                           "n4sid W2 inverse solve").T
         return WeightPair(w1=eye_rows, w2=r.T, w1_inv=eye_rows, w2_pinv=w2_pinv,
                           n_cols=data.n_cols, factor1=_n4sid_factor1(data, r))
-    zpz = _zpz_perp(data)
+    zpz, zz = _zpz_perp(data)
     if scheme == "identity":
         w1 = eye_rows
         w1_inv = eye_rows
@@ -468,7 +466,7 @@ def build_weights(scheme: str, data: HankelData,
         w1=w1, w2=w2, w1_inv=w1_inv, w2_pinv=w2_pinv, n_cols=n_past,
         # under cva zpz = V L V' and w2 = V L^(1/2) V', so w2' zpz^-1 w2 = I
         # exactly; the congruence would return 1 only to within ~1e-9
-        factor1=1.0 if scheme == "cva" else _identity_factor1(data, zpz),
+        factor1=1.0 if scheme == "cva" else _identity_factor1(zpz, zz),
     )
 
 
@@ -573,7 +571,8 @@ def order_heuristic_neff(s) -> int:
     """
     s = np.asarray(s, dtype=float)
     if np.sum(s > 0) < 3:
-        raise ValueError("need at least 3 positive singular values")
+        raise DataError("order_heuristic_neff needs at least 3 positive singular values, "
+                        f"got {int(np.sum(s > 0))}")
     total = float(np.sum(s))
     n_eff = total * total / float(np.sum(s * s))
     m = int(math.floor(n_eff))

@@ -18,9 +18,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalError
-from .linalg import frobenius, psd_sqrt
+from .linalg import checked, frobenius, psd_sqrt
 
 __all__ = [
     "StateSpaceModel",
@@ -111,8 +112,51 @@ class TrueDecomposition:
         return np.concatenate([lead[None], later.reshape(self.f - 1, n_o, gain.shape[1])])
 
 
+def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """a^-1 b by LAPACK dgesv; a singular a raises NumericalError naming what."""
+    return checked(dgesv(a, b)[2:], what)
+
+
+def _double(step, state: tuple, what: str) -> np.ndarray:
+    """state = step(*state) until the relative Frobenius change of its first
+    item is at or below _RICCATI_TOL, then that item; NumericalError on a
+    non-finite change or after _RICCATI_MAX_ITER steps."""
+    residual = np.inf
+    for _ in range(_RICCATI_MAX_ITER):
+        new = step(*state)
+        residual = frobenius(new[0] - state[0])
+        if residual <= _RICCATI_TOL * frobenius(new[0]):
+            return new[0]
+        if not np.isfinite(residual):
+            break
+        state = new
+    raise NumericalError(f"{what} did not converge: last residual {residual:.3e}")
+
+
+def _riccati_step(p, e, g):
+    """One structured doubling step (P, E, G) -> (P', E', G')."""
+    # W^-1 [E, G] in one solve
+    w_e, w_g = np.hsplit(_solve(np.eye(len(p)) + g @ p, np.hstack((e, g)),
+                                "doubling step singular"), 2)
+    p_new = p + e.T @ p @ w_e
+    g_new = e @ w_g @ e.T + g
+    return (p_new + p_new.T) / 2.0, e @ w_e, (g_new + g_new.T) / 2.0
+
+
+def _stein_step(x, m):
+    """One Smith doubling step (X, M) -> (X + M X M', M M)."""
+    x_new = x + m @ x @ m.T
+    return (x_new + x_new.T) / 2.0, m @ m
+
+
+def _gain(a, c, r_v, p):
+    """(A P C' sigma^-1, sigma) with sigma = C P C' + R_v."""
+    sigma = c @ p @ c.T + r_v
+    return _solve(sigma, (a @ p @ c.T).T, "innovation covariance singular").T, sigma
+
+
 def kalman_gain(a, c, r_w, r_v):
-    """Steady-state Kalman gain by structured doubling.
+    """Steady-state Kalman gain by structured doubling and one Newton step.
 
     Solves P = A P A' - A P C' (C P C' + R_v)^-1 C P A' + R_w. Doubling step
     k holds E_k, G_k and P_k, where P_k is the fixed-point iterate 2^k steps
@@ -120,47 +164,28 @@ def kalman_gain(a, c, r_w, r_v):
 
         W = I + G P,  E' = E W^-1 E,  G' = G + E W^-1 G E',  P' = P + E' P W^-1 E
 
-    from E = A', G = C' R_v^-1 C, P = R_w, until the relative Frobenius change
-    of P is at or below _RICCATI_TOL, or NumericalError after _RICCATI_MAX_ITER
-    steps. R_v must be nonsingular. Returns (k, sigma) with sigma = C P C' + R_v
-    and k = A P C' sigma^-1.
+    from E = A', G = C' R_v^-1 C, P = R_w. A small R_v makes G large and
+    I + G P ill-conditioned, so the gain K of that P is then taken through
+    one Newton (Hewer) step: X, the error covariance of the predictor with
+    gain K, solves the Stein equation X = A_K X A_K' + R_w + K R_v K' with
+    A_K = A - K C, and differs from P only to second order in K's error. X
+    is summed by Smith doubling, X' = X + M X M' and M' = M M from
+    X = R_w + K R_v K' and M = A_K. Each doubling stops when the relative
+    Frobenius change of P or X is at or below _RICCATI_TOL, and raises
+    NumericalError after _RICCATI_MAX_ITER steps or on a non-finite change.
+    The linear solves are LAPACK dgesv; a singular R_v or doubling step
+    raises NumericalError. Returns (k, sigma) with sigma = C X C' + R_v and
+    k = A X C' sigma^-1.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     r_w = np.atleast_2d(np.asarray(r_w, dtype=float))
     r_v = np.atleast_2d(np.asarray(r_v, dtype=float))
-    n_x = a.shape[0]
-    eye = np.eye(n_x)
-    try:
-        g = c.T @ np.linalg.solve(r_v, c)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"measurement noise covariance singular: {exc}") from exc
-    e, p = a.T, r_w
-    e_g = np.empty((n_x, 2 * n_x))   # [E, G], refilled every step
-    residual = np.inf
-    for _ in range(_RICCATI_MAX_ITER):
-        e_g[:, :n_x] = e
-        e_g[:, n_x:] = g
-        try:
-            # W^-1 [E, G] in one solve
-            sol = np.linalg.solve(eye + g @ p, e_g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"doubling step singular: {exc}") from exc
-        w_e, w_g = sol[:, :n_x], sol[:, n_x:]
-        p_new = p + e.T @ p @ w_e
-        p_new = (p_new + p_new.T) / 2.0
-        g = e @ w_g @ e.T + g
-        g = (g + g.T) / 2.0
-        e = e @ w_e
-        residual = frobenius(p_new - p)
-        p = p_new
-        if residual <= _RICCATI_TOL * frobenius(p_new):
-            sigma = c @ p @ c.T + r_v
-            k = np.linalg.solve(sigma, (a @ p @ c.T).T).T
-            return k, sigma
-        if not np.isfinite(residual):
-            break
-    raise NumericalError(f"Riccati doubling did not converge: last residual {residual:.3e}")
+    g = c.T @ _solve(r_v, c, "measurement noise covariance singular")
+    p = _double(_riccati_step, (r_w, a.T, g), "Riccati doubling")
+    k, _ = _gain(a, c, r_v, p)
+    x = _double(_stein_step, (r_w + k @ r_v @ k.T, a - k @ c), "Stein doubling")
+    return _gain(a, c, r_v, x)
 
 
 def sample_system(spec: SystemSpec, rng: np.random.Generator):

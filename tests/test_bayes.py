@@ -240,6 +240,16 @@ def test_steps_leave_priors_untouched():
 # -------------------------------------------------- sampler law (gamma draw)
 
 def test_gamma_draw_mean_and_covariance():
+    """The [Gamma_f H_f] draw's law: entrywise on the Gamma block, then
+    whitened over the whole draw, Gamma with the projected H_f's first
+    column (its free values) and so the H_f block and the Gamma-H cross
+    block too. The draw is a linear map of vec(mean + g_bar xi L^-1), whose
+    covariance is (L L')^-1 (x) g_bar g_bar'. Whitened by that map's
+    covariance, n times the sample covariance is Wishart(n, I_d), so
+    T = n ||S - I||_F^2 is about 2 chi^2 with d(d+1)/2 dof (mean d(d+1)),
+    and n times the whitened mean's squared norm is chi^2 with d dof. A
+    transposed triangular solve in the draw gives T near 6400 here, where
+    the Gamma block alone passes at 4.5 SE."""
     data, ls, state = _state(rank=2)
     # a non-identity noise factor: rows are shaped by g_bar = G_f / G_f[0,0]
     # and the likelihood is weighted by gamma = 1 / G_f[0,0]^2
@@ -253,20 +263,34 @@ def test_gamma_draw_mean_and_covariance():
     gram += gamma * reg @ reg.T
     mean_ref = gamma * data.y_f @ reg.T @ np.linalg.inv(gram)
     assert np.allclose(_gamma_hf_parts(state)[0], mean_ref, rtol=1e-9)
+
+    def free(gamma_part, h_part):
+        return np.concatenate([vec(gamma_part), h_part[:, 0]])
+
     rng = np.random.default_rng(123)
     n = 10000
-    draws = np.empty((n, 6))  # vec of the 3 x 2 gamma block
+    draws = np.empty((n, 9))  # vec of the 3 x 2 gamma block, then h_f's column
     for t in range(n):
-        _, (gamma_draw, _) = step_gamma_hf(state, rng)
-        draws[t] = vec(gamma_draw)
-    emp_mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / np.sqrt(n)
+        _, (gamma_draw, h_draw) = step_gamma_hf(state, rng)
+        draws[t] = free(gamma_draw, h_draw)
+    emp_mean = draws[:, :6].mean(axis=0)
+    se = draws[:, :6].std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(emp_mean - vec(mean_ref[:, :2])) <= 4.0 * se)
     # column-major vec: Cov = (gram^-1 gamma block) (x) row covariance, rows iid here
     cov_ref = np.kron(np.linalg.inv(gram)[:2, :2], g_bar @ g_bar.T)
-    emp_cov = np.cov(draws.T, ddof=1)
+    emp_cov = np.cov(draws[:, :6].T, ddof=1)
     se_cov = np.sqrt((np.outer(np.diag(cov_ref), np.diag(cov_ref)) + cov_ref**2) / n)
     assert np.all(np.abs(emp_cov - cov_ref) <= 4.5 * se_cov)
+    # the whole draw, whitened: column k of to_free maps unit vec k of the
+    # 3 x 5 [Gamma H] noise to the free values
+    units = np.eye(15).reshape(15, 5, 3).transpose(0, 2, 1)
+    to_free = np.stack([free(m[:, :2], toeplitz_project(m[:, 2:])) for m in units], axis=1)
+    cov_all = to_free @ np.kron(np.linalg.inv(gram), g_bar @ g_bar.T) @ to_free.T
+    white = np.linalg.solve(np.linalg.cholesky(cov_all),
+                            (draws - free(mean_ref[:, :2], toeplitz_project(mean_ref[:, 2:]))).T)
+    d = white.shape[0]
+    assert n * np.sum((white @ white.T / n - np.eye(d)) ** 2) <= 2.0 * d * (d + 1)
+    assert n * np.sum(white.mean(axis=1) ** 2) <= 35.0   # chi^2_9 exceeds it w.p. 1e-4
 
 
 def test_gamma_draw_is_the_mean_plus_its_replayed_normals():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +221,16 @@ def test_identify_with_a_non_finite_last_output_is_a_data_error(scheme):
     with pytest.raises(DataError, match="non-finite"):
         bench.identify(assemble(u, y, 3, 3), scheme, ("hard",), GibbsConfig(rank=1),
                        np.random.default_rng(0))
+
+
+def test_import_leaves_the_process_pool_unimported():
+    # a serial run never forks, so importing the package must not load the
+    # pool's module (~5 ms and ~0.4 MB of a process that never uses it)
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sidshrink; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"

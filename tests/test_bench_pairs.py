@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py reads only the result file that a run wrote itself."""
+"""tools/bench_pairs.py reads only the result file that a run wrote itself,
+and records each checkout's line counts."""
 import importlib.util
 import json
 from pathlib import Path
@@ -35,3 +36,13 @@ def test_an_incorrect_run_that_writes_its_result_is_read(tmp_path):
         f"open('perfbench/out/{RESULT_NAME}', 'w').write({json.dumps(json.dumps(INCORRECT))})\n"
         "sys.exit(1)\n"))
     assert bench_pairs.run_once(checkout, "w", 0, 0) == INCORRECT
+
+
+def test_line_counts_are_the_lines_of_the_python_files_under_src_and_tests(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "pkg" / "a.py").write_text("a = 1\n\nb = 2\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("c = 3", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("x\ny\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n", encoding="utf-8")
+    assert bench_pairs.line_counts(tmp_path) == {"src": 4, "tests": 2}

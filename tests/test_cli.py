@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -272,6 +278,43 @@ def test_identify_too_short_dataset(tmp_path, capsys):
     capsys.readouterr()
 
 
+# failures the property below found, each pinned as a plain example
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
+def test_config_that_is_a_directory_or_not_utf8_is_data_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 3
+    assert "cfg.json" in capsys.readouterr().err
+
+
+def test_identify_record_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xff\xfe{")
+    assert _run(["identify", str(path)]) == 3
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["benchmark", "--runs", "1"]])
+def test_out_that_names_no_file_is_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert _run([*command, "--out", "."]) == 2
+    assert "names no file" in capsys.readouterr().err
+
+
+def test_identify_heuristic_with_fewer_than_three_values_is_data_error(tmp_path, capsys):
+    # 12 rows give f = p = 1, so H_fp is 1 x 2 with one singular value
+    path = tmp_path / "tiny.csv"
+    rng = np.random.default_rng(12)
+    write_timeseries(path, rng.standard_normal((12, 1)), rng.standard_normal((12, 1)))
+    assert _run(["identify", str(path), "--method", "heuristic",
+                 "--out", str(tmp_path / "out.csv")]) == 3
+    assert "at least 3 positive singular values" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- benchmark
 
 def test_benchmark_end_to_end(tmp_path, capsys):
@@ -302,3 +345,107 @@ def test_benchmark_rejects_bad_scheme(capsys):
     # argparse validates the choice list before any work happens
     assert _run(["benchmark", "--scheme", "pls"]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- property
+
+_SCHEMES = ["identity", "cva", "n4sid", "pls", ""]
+_VARIANTS = ["hankel", "independent", "hankel_exact", "x"]
+_METHOD_WORDS = [*_METHOD_MAP, *METHOD_NAMES, "lasso", ""]
+_SEEDS = st.one_of(st.integers(-2, 3), st.integers(2 ** 63, 2 ** 65))
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+                         st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+# per config key, values of the right type; sizes stay tiny so that every
+# example runs in well under a second, and threads never exceeds 1
+_CONFIG_VALUES = {
+    "runs": st.integers(-1, 2),
+    "seed": _SEEDS,
+    "nf": st.integers(-1, 4),
+    "no": st.integers(-1, 3),
+    "threads": st.integers(-1, 1),
+    "scheme": st.sampled_from(_SCHEMES),
+    "gf_variant": st.sampled_from(_VARIANTS),
+    "method": st.sampled_from(_METHOD_WORDS),
+    "rao_blackwell": st.booleans(),
+    "methods": st.lists(st.sampled_from(_METHOD_WORDS), max_size=4),
+}
+# the text of a config file or record, or None for no file, or a directory
+_FILES = st.one_of(
+    st.none(),
+    st.just(Path),
+    st.sampled_from([b"[1, 2]", b"null", b"{runs: 1", b"", b"\xff\xfe{", b"u_1,y_1\n1,x\n"]),
+)
+_CONFIGS = st.one_of(_FILES, st.fixed_dictionaries({}, optional={
+    **{key: st.one_of(values, _WRONG_TYPES) for key, values in _CONFIG_VALUES.items()},
+    "bogus": st.integers(0, 1)}).map(lambda d: json.dumps(d).encode()))
+_HORIZONS = st.sampled_from([0, 1, 3, 30, -1, "3", 2.5, True, None])
+_FLAGS = {
+    "--seed": _SEEDS.map(str),
+    "--scheme": st.sampled_from(_SCHEMES),
+    "--gf-variant": st.sampled_from(_VARIANTS),
+    "--nf": st.sampled_from(["-1", "0", "1", "3", "x"]),
+    "--no": st.sampled_from(["-1", "0", "1", "2", "1.5"]),
+    "--method": st.sampled_from(_METHOD_WORDS),
+    "--runs": st.sampled_from(["-1", "0", "1", "2", ""]),
+    "--threads": st.sampled_from(["-1", "0", "1"]),
+    "--out": st.sampled_from(["out.csv", "no/such/dir/out.csv", "sub", "."]),
+}
+
+
+@st.composite
+def _records(draw):
+    """A tiny identify input: T samples of n_i inputs and n_o outputs with
+    a header of horizons f and p, either of them left out or of any JSON
+    type; or one of _FILES."""
+    if draw(st.booleans()):
+        return draw(_FILES)
+    t, n_i, n_o = draw(st.sampled_from([0, 2, 12, 40])), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(t)
+    meta = draw(st.fixed_dictionaries({}, optional={"f": _HORIZONS, "p": _HORIZONS}))
+    out = io.StringIO()
+    out.write("# config: " + json.dumps(meta) + "\n")
+    out.write(",".join([f"u_{k + 1}" for k in range(n_i)] + [f"y_{k + 1}" for k in range(n_o)]))
+    out.write("\n")
+    np.savetxt(out, rng.standard_normal((t, n_i + n_o)), delimiter=",")
+    return out.getvalue().encode()
+
+
+def _place(path: Path, content) -> None:
+    if content is Path:
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+
+
+@hypothesis.given(
+    command=st.sampled_from(["simulate", "identify", "benchmark", "fit", None]),
+    flags=st.lists(st.sampled_from(sorted(_FLAGS)).flatmap(
+        lambda flag: st.tuples(st.just(flag), _FLAGS[flag])), max_size=4),
+    config=st.one_of(st.none(), _CONFIGS),
+    record=_records(),
+)
+def test_main_returns_an_exit_code_for_any_arguments(command, flags, config, record):
+    """main returns 0, 2, 3 or 4 and prints no traceback, whatever the
+    argument vector, config file and record. A benchmark runs at most 2
+    runs of chains of at most 4 iterations, and the chains of identify are
+    as short: --runs and --nf lead the flags, and a drawn flag or the
+    config can only set them as small."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("sub").mkdir()
+        argv = [] if command is None else [command]
+        if command == "identify":
+            _place(Path("data.csv"), record)
+            argv += ["data.csv", "--nf", "3"]
+        if command == "benchmark":
+            argv += ["--runs", "1", "--nf", "2"]
+        for flag, value in flags:
+            argv += [flag, value]
+        if config is not None:
+            _place(Path("cfg.json"), config)
+            argv += ["--config", "cfg.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -15,7 +15,7 @@ from sidshrink.errors import DataError, NumericalError
 from sidshrink.estimation import (
     HankelData,
     _dof,
-    _max_eig_congruence,
+    _identity_factor1,
     _zpz_perp,
     assemble,
     build_weights,
@@ -397,7 +397,7 @@ def _protocol_weights(run_ids):
         data = assemble(draw.u, draw.y, draw.f, draw.p)
         ls = ls_estimate(data)
         g_f_hat = estimate_noise(data, ls.h_fp_hat, ls.h_f_hat).g_f_hat
-        yield data, g_f_hat, _zpz_perp(data), {
+        yield data, g_f_hat, _zpz_perp(data)[0], {
             scheme: build_weights(scheme, data, g_f_hat=g_f_hat)
             for scheme in ("identity", "cva", "n4sid")}
 
@@ -420,7 +420,6 @@ def test_cva_factor1_is_one_by_construction():
         w = weights["cva"]
         assert w.factor1 == 1.0
         assert _max_eig_congruence_wide(zpz, w.w2) == pytest.approx(1.0, rel=0.0, abs=1e-8)
-        assert _max_eig_congruence(zpz, w.w2) == pytest.approx(1.0, rel=0.0, abs=1e-8)
 
 
 def _zpz_perp_scipy(data):
@@ -430,9 +429,9 @@ def _zpz_perp_scipy(data):
     return (out + out.T) / 2.0
 
 
-def _max_eig_congruence_scipy(zpz, w2):
+def _inverse_lambda_max_scipy(zpz):
     chol = np.linalg.cholesky(zpz)
-    x = scipy.linalg.solve_triangular(chol, w2 @ w2.T, lower=True)
+    x = scipy.linalg.solve_triangular(chol, np.eye(zpz.shape[0]), lower=True)
     gram = scipy.linalg.solve_triangular(chol, x.T, lower=True)
     return float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
 
@@ -442,20 +441,20 @@ def test_direct_lapack_weights_are_the_scipy_forms_bit_for_bit():
     passes, so every weight equals the scipy.linalg form exactly."""
     for data, g_f_hat, zpz, weights in _protocol_weights(range(10)):
         assert np.array_equal(zpz, _zpz_perp_scipy(data))
+        assert np.array_equal(_zpz_perp(data)[1], data.z_p @ data.z_p.T)
         n_rows, n_past = g_f_hat.shape[0], data.z_p.shape[0]
         assert np.array_equal(weights["cva"].w1, scipy.linalg.solve_triangular(
             g_f_hat, np.eye(n_rows), lower=True))
         assert np.array_equal(weights["n4sid"].w2_pinv, scipy.linalg.solve_triangular(
             data.z_factor, np.eye(n_past), lower=False).T)
-        for w in weights.values():
-            assert _max_eig_congruence(zpz, w.w2) == _max_eig_congruence_scipy(zpz, w.w2)
+        assert weights["identity"].factor1 == _inverse_lambda_max_scipy(zpz)
 
 
 @pytest.mark.parametrize("routine, scheme, step", [
     ("dgesdd", "identity", "SVD of U_f'"),
     ("dtrtrs", "cva", "cva W1 solve"),
     ("dtrtrs", "n4sid", "n4sid W2 inverse solve"),
-    ("dtrtrs", "identity", "L^-1 w2 w2' solve"),
+    ("dtrtrs", "identity", "L^-1 solve"),
 ])
 def test_lapack_info_raises_numerical_error_naming_the_step(monkeypatch, routine, scheme,
                                                              step):
@@ -474,8 +473,7 @@ def test_lambda_max_is_none_when_zpz_is_singular():
     z = rng.standard_normal((3, 50))
     z = np.vstack([z, z[:1]])           # a repeated row: Z Z' is singular
     zpz = z @ z.T
-    assert _max_eig_congruence(zpz, np.eye(4)) is None
-    assert _max_eig_congruence(zpz, z) is None
+    assert _identity_factor1(zpz, zpz) is None
     data = HankelData(stacked=np.vstack([rng.standard_normal((2, 50)), z,
                                          rng.standard_normal((2, 50))]),
                       f=2, p=2, n_i=1, n_o=1)
@@ -681,7 +679,7 @@ def test_neff_detects_late_deviation():
 
 
 def test_neff_needs_three_positive_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="at least 3 positive"):
         order_heuristic_neff([1.0, 0.5, 0.0])
 
 

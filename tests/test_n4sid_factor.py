@@ -40,7 +40,7 @@ class WideOracle:
     def __init__(self, data):
         self.data = data
         self.pinv = np.linalg.pinv(data.z_p)
-        x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)), data.z_p)
+        x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)[0]), data.z_p)
         self.factor1 = float(np.linalg.eigvalsh(x @ x.T)[-1])
 
     def factor(self, h):
@@ -209,7 +209,7 @@ def test_identity_factor1_is_none_when_a_z_p_row_lies_in_the_u_f_row_space():
 
 def test_identity_factor1_is_the_congruence_on_regular_data():
     data = _stacked(np.random.default_rng(3), 3, 3, 60)
-    x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)), np.eye(6))
+    x = np.linalg.solve(np.linalg.cholesky(_zpz_perp(data)[0]), np.eye(6))
     expect = float(np.linalg.eigvalsh(x @ x.T)[-1])
     assert build_weights("identity", data).factor1 == pytest.approx(expect, rel=1e-12)
 

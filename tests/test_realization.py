@@ -113,14 +113,29 @@ def test_kalman_gain_doubles_through_a_slow_draw(monkeypatch):
     assert _fixed_point_steps(a, c, r_w, r_v) > 1000
     monkeypatch.setattr(systems, "_RICCATI_MAX_ITER", 20)
     k, sigma = kalman_gain(a, c, r_w, r_v)
-    p = scipy.linalg.solve_discrete_are(a.T, c.T, r_w, r_v)
-    sigma_ref = c @ p @ c.T + r_v
-    k_ref = a @ p @ c.T @ np.linalg.inv(sigma_ref)
+    k_ref, sigma_ref = _dare_gain(a, c, r_w, r_v)
     assert np.linalg.norm(k - k_ref) <= 1e-10 * np.linalg.norm(k_ref)
     assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
     monkeypatch.setattr(systems, "_RICCATI_MAX_ITER", 2)
     with pytest.raises(NumericalError):
         kalman_gain(a, c, r_w, r_v)
+
+
+def _dare_gain(a, c, r_w, r_v):
+    p = scipy.linalg.solve_discrete_are(a.T, c.T, r_w, r_v)
+    sigma = c @ p @ c.T + r_v
+    return a @ p @ c.T @ np.linalg.inv(sigma), sigma
+
+
+def test_kalman_gain_meets_the_dare_on_an_ill_conditioned_draw():
+    # seed 0, run 89, attempt 0: R_v = 1.17e-5 makes G = C' R_v^-1 C large
+    # and I + G P ill-conditioned; doubling alone read 1.7e-10 from scipy's
+    # DARE here, the worst of the 900 seed 0-2 draws
+    model, *_ = sample_system(SystemSpec(), _system_stream(0, 89, 0))
+    assert model.r_v[0, 0] < 2e-5
+    k_ref, sigma_ref = _dare_gain(model.a, model.c, model.r_w, model.r_v)
+    assert np.linalg.norm(model.k - k_ref) <= 1e-12 * np.linalg.norm(k_ref)
+    assert np.linalg.norm(model.sigma - sigma_ref) <= 1e-12 * np.linalg.norm(sigma_ref)
 
 
 def test_kalman_gain_rejects_singular_measurement_noise():
@@ -249,12 +264,16 @@ def test_single_run_scores_the_drawn_realization():
 
 def test_single_run_spawns_each_attempts_streams_once(monkeypatch):
     calls = []
-    streams = bench._streams
-    monkeypatch.setattr(bench, "_streams", lambda *a: calls.append(a) or streams(*a))
+    stream = bench._stream
+    monkeypatch.setattr(bench, "_stream", lambda *a: calls.append(a) or stream(*a))
     cfg = BenchConfig(runs=3, methods=("heuristic_neff", "bayes"), seed=0,
                       gibbs=GibbsConfig(rank=1, n_total=6))
     record, payload = single_run(cfg, 2, keep_payload=True)
-    assert calls == [(0, 2, a) for a in range(record.attempts)]
+    assert calls == [(0, 2, a, k) for a in range(record.attempts) for k in (0, 1)]
+    # with no chain to run, no chain stream is built
+    calls.clear()
+    assert single_run(dataclasses.replace(cfg, methods=("heuristic_neff",)), 2).attempts == 1
+    assert calls == [(0, 2, 0, 0)]
     # the chain still reads the attempt's second stream
     attempt = record.attempts - 1
     chain = np.random.default_rng(np.random.SeedSequence([0, 2, attempt]).spawn(2)[1])

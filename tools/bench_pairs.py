@@ -20,7 +20,9 @@ The summary goes to BENCH_<label>.json in the current directory:
   neither), both sides' quartiles and the ratio of the medians;
 - traced: the per-layer metrics of each side's --trace 1 run;
 - result_files: the full result file of pair 0 of each workload and seed,
-  and of each --trace 1 run.
+  and of each --trace 1 run;
+- lines: each checkout's line count of the .py files under src/ and
+  tests/, which the ROADMAP's line-count rule reads.
 
 A gain holds for a metric when the change wins at least nine tenths of the
 pairs and the medians differ, in the better direction, by more than the
@@ -64,6 +66,13 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
           f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()}) if not trace else ''}",
           flush=True)
     return result
+
+
+def line_counts(checkout: Path) -> dict[str, int]:
+    """Lines of the .py files under the checkout's src/ and tests/."""
+    return {part: sum(len(path.read_bytes().splitlines())
+                      for path in (checkout / part).rglob("*.py"))
+            for part in ("src", "tests")}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -143,7 +152,8 @@ def main(argv=None) -> int:
         seed, pairs = (int(x) for x in item.split(":"))
         plan.append((workloads[0], seed, pairs))
 
-    record = {"what": args.what, "machine": "", "pairs": {}, "traced": {}, "result_files": {}}
+    record = {"what": args.what, "machine": "", "pairs": {}, "traced": {}, "result_files": {},
+              "lines": {side: line_counts(checkouts[side]) for side in SIDES}}
     for workload, seed, n_pairs in plan:
         runs = {side: [] for side in SIDES}
         order = []
