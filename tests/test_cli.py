@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -411,6 +412,17 @@ def _records(draw):
     return out.getvalue().encode()
 
 
+@contextlib.contextmanager
+def _in_dir(path):
+    """The block runs in path (contextlib.chdir needs Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def _place(path: Path, content) -> None:
     if content is Path:
         path.mkdir()
@@ -431,7 +443,7 @@ def test_main_returns_an_exit_code_for_any_arguments(command, flags, config, rec
     runs of chains of at most 4 iterations, and the chains of identify are
     as short: --runs and --nf lead the flags, and a drawn flag or the
     config can only set them as small."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with tempfile.TemporaryDirectory() as tmp, _in_dir(tmp):
         Path("sub").mkdir()
         argv = [] if command is None else [command]
         if command == "identify":
