@@ -231,8 +231,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
         raise DataError(f"{args.data}: horizons f and p must be positive integers, "
                         f"got f={f!r}, p={p!r} ({t_samples} rows)")
     method = resolved["method"]
+    # only the chain reads a generator
+    rng = np.random.default_rng(resolved["seed"]) if method == "bayes" else None
     ident = identify(assemble(u, y, f, p), resolved["scheme"], (method,),
-                     _gibbs_config(resolved), np.random.default_rng(resolved["seed"]))
+                     _gibbs_config(resolved), rng)
     order = ident.orders[method]
 
     out = Path(args.out if args.out else "identified.csv")

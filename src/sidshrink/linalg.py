@@ -145,11 +145,15 @@ def psd_sqrt(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     Eigenvalues below zero (rounding noise) are clipped to zero. With
     inverse=True the inverse square root is returned and the matrix must be
     positive definite: a minimum eigenvalue at or below _PD_REL * max(|eig|)
-    raises NumericalError.
+    raises NumericalError. A 1 x 1 matrix takes no eigendecomposition:
+    LAPACK's is w = a, v = 1, so its root is that of a, bit for bit.
     """
     a = np.asarray(m, dtype=float)
     a = (a + a.T) / 2.0
-    w, v = np.linalg.eigh(a)
+    if a.shape == (1, 1):
+        w, v = a[0], None
+    else:
+        w, v = np.linalg.eigh(a)
     if inverse:
         floor = _PD_REL * max(abs(w[-1]), _TINY)
         if w[0] <= floor:
@@ -159,6 +163,8 @@ def psd_sqrt(m: np.ndarray, inverse: bool = False) -> np.ndarray:
         d = 1.0 / np.sqrt(w)
     else:
         d = np.sqrt(np.clip(w, 0.0, None))
+    if v is None:
+        return d.reshape(1, 1)
     out = (v * d) @ v.T
     return (out + out.T) / 2.0
 

@@ -36,6 +36,7 @@ __all__ = [
 
 _RICCATI_TOL = 1e-12   # relative change of P at which kalman_gain stops
 _RICCATI_MAX_ITER = 10000   # doubling steps kalman_gain takes before it gives up
+_STEIN_TOL = np.finfo(float).eps   # share of X the Newton step's truncated tail may reach
 _SAMPLE_TRIES = 50     # draws sample_system makes before it gives up
 _BURN_IN_CAP = 10000   # longest burn-in default_burn_in returns
 
@@ -117,36 +118,47 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return checked(dgesv(a, b)[2:], what)
 
 
-def _double(step, state: tuple, what: str) -> np.ndarray:
-    """state = step(*state) until the relative Frobenius change of its first
-    item is at or below _RICCATI_TOL, then that item; NumericalError on a
-    non-finite change or after _RICCATI_MAX_ITER steps."""
+def _riccati_doubling(r_w, a, g):
+    """P by structured doubling from (P, E, G) = (R_w, A', G) until the
+    relative Frobenius change of P is at or below _RICCATI_TOL;
+    NumericalError on a non-finite change or after _RICCATI_MAX_ITER steps."""
+    p, e = r_w, a.T
+    n = len(p)
+    eye = np.eye(n)
     residual = np.inf
     for _ in range(_RICCATI_MAX_ITER):
-        new = step(*state)
-        residual = frobenius(new[0] - state[0])
-        if residual <= _RICCATI_TOL * frobenius(new[0]):
-            return new[0]
+        # W^-1 [E, G] in one solve
+        w_eg = _solve(eye + g @ p, np.hstack((e, g)), "doubling step singular")
+        w_e, w_g = w_eg[:, :n], w_eg[:, n:]
+        p_new = p + e.T @ p @ w_e
+        p_new = (p_new + p_new.T) / 2.0
+        residual = frobenius(p_new - p)
+        if residual <= _RICCATI_TOL * frobenius(p_new):
+            return p_new
         if not np.isfinite(residual):
             break
-        state = new
-    raise NumericalError(f"{what} did not converge: last residual {residual:.3e}")
+        g_new = e @ w_g @ e.T + g
+        p, e, g = p_new, e @ w_e, (g_new + g_new.T) / 2.0
+    raise NumericalError(f"Riccati doubling did not converge: last residual {residual:.3e}")
 
 
-def _riccati_step(p, e, g):
-    """One structured doubling step (P, E, G) -> (P', E', G')."""
-    # W^-1 [E, G] in one solve
-    w_e, w_g = np.hsplit(_solve(np.eye(len(p)) + g @ p, np.hstack((e, g)),
-                                "doubling step singular"), 2)
-    p_new = p + e.T @ p @ w_e
-    g_new = e @ w_g @ e.T + g
-    return (p_new + p_new.T) / 2.0, e @ w_e, (g_new + g_new.T) / 2.0
-
-
-def _stein_step(x, m):
-    """One Smith doubling step (X, M) -> (X + M X M', M M)."""
-    x_new = x + m @ x @ m.T
-    return (x_new + x_new.T) / 2.0, m @ m
+def _stein_correction(r_0, m, p):
+    """D = sum_j M^j R_0 M'^j by Smith doubling, D' = D + M D M' and
+    M' = M M, until the tail M D_inf M' left out is bounded by _STEIN_TOL
+    of |P + D|_F, one unit roundoff: with s = |M|_F^2 < 1,
+    |D_inf|_F <= |D|_F / (1 - s), so the tail is at most s |D|_F / (1 - s).
+    NumericalError on a non-finite sum or after _RICCATI_MAX_ITER steps."""
+    d = r_0
+    for step in range(_RICCATI_MAX_ITER + 1):
+        s = frobenius(m) ** 2
+        size = frobenius(d)
+        if s < 1.0 and s * size <= _STEIN_TOL * (1.0 - s) * frobenius(p + d):
+            return d
+        if step == _RICCATI_MAX_ITER or not np.isfinite(size + s):
+            break
+        d = d + m @ d @ m.T
+        d, m = (d + d.T) / 2.0, m @ m
+    raise NumericalError(f"Stein doubling did not converge: last tail norm {size:.3e}")
 
 
 def _gain(a, c, r_v, p):
@@ -164,15 +176,17 @@ def kalman_gain(a, c, r_w, r_v):
 
         W = I + G P,  E' = E W^-1 E,  G' = G + E W^-1 G E',  P' = P + E' P W^-1 E
 
-    from E = A', G = C' R_v^-1 C, P = R_w. A small R_v makes G large and
+    from E = A', G = C' R_v^-1 C, P = R_w, until the relative Frobenius
+    change of P is at or below _RICCATI_TOL. A small R_v makes G large and
     I + G P ill-conditioned, so the gain K of that P is then taken through
     one Newton (Hewer) step: X, the error covariance of the predictor with
     gain K, solves the Stein equation X = A_K X A_K' + R_w + K R_v K' with
-    A_K = A - K C, and differs from P only to second order in K's error. X
-    is summed by Smith doubling, X' = X + M X M' and M' = M M from
-    X = R_w + K R_v K' and M = A_K. Each doubling stops when the relative
-    Frobenius change of P or X is at or below _RICCATI_TOL, and raises
-    NumericalError after _RICCATI_MAX_ITER steps or on a non-finite change.
+    A_K = A - K C, and differs from P only to second order in K's error.
+    The step sums only the correction D = X - P, which solves
+    D = A_K D A_K' + R_0 with R_0 = A_K P A_K' + R_w + K R_v K' - P, as
+    small as P's Riccati residual; its sum stops once the tail it leaves
+    out is below rounding of X (_stein_correction). Either doubling raises
+    NumericalError after _RICCATI_MAX_ITER steps or on a non-finite value.
     The linear solves are LAPACK dgesv; a singular R_v or doubling step
     raises NumericalError. Returns (k, sigma) with sigma = C X C' + R_v and
     k = A X C' sigma^-1.
@@ -182,10 +196,11 @@ def kalman_gain(a, c, r_w, r_v):
     r_w = np.atleast_2d(np.asarray(r_w, dtype=float))
     r_v = np.atleast_2d(np.asarray(r_v, dtype=float))
     g = c.T @ _solve(r_v, c, "measurement noise covariance singular")
-    p = _double(_riccati_step, (r_w, a.T, g), "Riccati doubling")
+    p = _riccati_doubling(r_w, a, g)
     k, _ = _gain(a, c, r_v, p)
-    x = _double(_stein_step, (r_w + k @ r_v @ k.T, a - k @ c), "Stein doubling")
-    return _gain(a, c, r_v, x)
+    a_k = a - k @ c
+    r_0 = a_k @ p @ a_k.T + r_w + k @ r_v @ k.T - p
+    return _gain(a, c, r_v, p + _stein_correction((r_0 + r_0.T) / 2.0, a_k, p))
 
 
 def sample_system(spec: SystemSpec, rng: np.random.Generator):

@@ -209,6 +209,19 @@ def test_identify_command_writes_what_identify_returns(tmp_path, simulated, caps
     capsys.readouterr()
 
 
+def test_identify_without_the_chain_builds_no_generator(tmp_path, simulated, capsys,
+                                                        monkeypatch):
+    argv = ["identify", str(simulated), "--method", "hard", "--out"]
+    assert _run(argv + [str(tmp_path / "free.csv")]) == 0
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("built a generator")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert _run(argv + [str(tmp_path / "patched.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
+
+
 def test_method_spellings_cover_every_method_and_identify_rejects_others(simulated, capsys):
     assert set(_METHOD_MAP.values()) == set(METHOD_NAMES)
     with pytest.raises(ConfigError, match="lasso"):

@@ -121,6 +121,38 @@ def test_psd_sqrt_inverse_rejects_singular():
         psd_sqrt(np.diag([1.0, 0.0]), inverse=True)
 
 
+def _eigh_root(m, inverse):
+    """psd_sqrt's general path: the root through numpy's eigh, or "raises"."""
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    if inverse:
+        if w[0] <= 1e-12 * max(abs(w[-1]), np.finfo(float).tiny):
+            return "raises"
+        d = 1.0 / np.sqrt(w)
+    else:
+        d = np.sqrt(np.clip(w, 0.0, None))
+    out = (v * d) @ v.T
+    return (out + out.T) / 2.0
+
+
+def test_psd_sqrt_of_a_scalar_is_the_eigh_root_bit_for_bit():
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(float).tiny
+    magnitudes = np.concatenate([10.0 ** rng.uniform(-300, 300, 2000),
+                                 tiny * rng.uniform(0.0, 1.0, 200),   # subnormal
+                                 [0.0, 5e-324, tiny, 1.0, 4.0]])
+    for value in np.concatenate([magnitudes, -magnitudes]):    # -0.0 too
+        m = np.array([[value]])
+        for inverse in (False, True):
+            expect = _eigh_root(m, inverse)
+            if isinstance(expect, str):
+                with pytest.raises(NumericalError):
+                    psd_sqrt(m, inverse=inverse)
+                continue
+            got = psd_sqrt(m, inverse=inverse)
+            assert got.shape == (1, 1) and np.array_equal(got, expect), (value, inverse)
+            assert np.signbit(got) == np.signbit(expect), (value, inverse)
+
+
 def test_pseudo_det_values():
     assert pseudo_det(np.diag([3.0, 2.0, 0.0])) == pytest.approx(6.0)
     assert pseudo_det(np.zeros((3, 3))) == 1.0

@@ -138,6 +138,23 @@ def test_kalman_gain_meets_the_dare_on_an_ill_conditioned_draw():
     assert np.linalg.norm(model.sigma - sigma_ref) <= 1e-12 * np.linalg.norm(sigma_ref)
 
 
+def test_kalman_gain_meets_the_dare_on_every_protocol_draw():
+    # attempt 0 of the 900 seed 0-2 runs. Two draws pin how the Newton
+    # step's Stein sum stops: on seed 2, run 289 (n_x = 10, rho(A_K) = 0.90)
+    # a stop on the first small increment reads 8.6e-13 in K; on seed 0, run
+    # 184 (R_v = 1.3e-6) a tail bounded by 1e-12 of X, not by its rounding,
+    # reads 5.2e-13 in sigma
+    for seed in range(3):
+        for run_id in range(300):
+            model, *_ = sample_system(SystemSpec(), _system_stream(seed, run_id, 0))
+            k_ref, sigma_ref = _dare_gain(model.a, model.c, model.r_w, model.r_v)
+            bound = 2e-13 if (seed, run_id) in ((2, 289), (0, 184)) else 1e-12
+            assert np.linalg.norm(model.k - k_ref) <= bound * np.linalg.norm(k_ref), \
+                (seed, run_id)
+            assert np.linalg.norm(model.sigma - sigma_ref) <= bound * np.linalg.norm(sigma_ref), \
+                (seed, run_id)
+
+
 def test_kalman_gain_rejects_singular_measurement_noise():
     a, c = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0, 1.0]])
     with pytest.raises(NumericalError):
